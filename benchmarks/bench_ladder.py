@@ -1,8 +1,8 @@
 """Probe-ladder micro-benchmark: eager vs lazy candidate materialization.
 
 The LoCBS hole scan probes start times drawn from the chart's release
-ladder. The admissible bound usually closes the scan within a handful of
-probes, so the scan consumes the ladder lazily
+ladder. The ``tau + et`` break usually closes the scan within a handful
+of probes, so the scan consumes the ladder lazily
 (:meth:`ProcessorTimeline.release_times_after`) instead of materializing
 the full :meth:`release_times` list per placement: eager materialization
 costs O(ladder length) per probe site, the lazy generator O(consumed
@@ -25,7 +25,7 @@ from repro.schedulers import get_scheduler
 from benchmarks.conftest import emit
 
 #: ladder prefix consumed per probe site — the order of magnitude the
-#: admissible bound leaves alive (BENCH_hotpath full-scale records ~10
+#: ``tau + et`` break leaves alive (BENCH_hotpath full-scale records ~10
 #: candidates entered per placement before the scan closes)
 DEPTH = 4
 

@@ -120,8 +120,7 @@ def config_fingerprint(config: Mapping[str, Any]) -> str:
     """Content hash of a scheduler-configuration mapping.
 
     The mapping must be JSON-serializable; key order never matters.
-    Accelerator-only knobs (``initial_allocation``, ``parallel_workers``,
-    tracers) must NOT be part of the config a caller fingerprints — they
+    Accelerator-only knobs (``initial_allocation``, tracers) must NOT be part of the config a caller fingerprints — they
     change how fast a result is computed, and in the warm-start case
     *which local optimum is reached*, but they are not part of the
     request's identity. :class:`~repro.cache.store.ScheduleCache` entries

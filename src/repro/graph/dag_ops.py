@@ -19,6 +19,7 @@ Definitions follow the paper's Section II:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Set, Tuple
 
 import networkx as nx
@@ -171,9 +172,12 @@ def concurrency_ratio(
 
     Measures how much potentially concurrent work exists relative to the
     task's own work; the LoC-MPS candidate selection prefers low values
-    (widening such a task serializes little else).
+    (widening such a task serializes little else). ``cG(t)`` is a set, so
+    its iteration order follows the string hash seed; ``math.fsum`` is
+    exactly rounded and thus order-independent, which keeps the ratio (and
+    every tie it breaks) identical across Python processes.
     """
     own = sequential_time(t)
     if own <= 0:
         raise ValueError(f"task {t!r} has non-positive sequential time {own!r}")
-    return sum(sequential_time(x) for x in concurrent_tasks(g, t)) / own
+    return math.fsum(sequential_time(x) for x in concurrent_tasks(g, t)) / own

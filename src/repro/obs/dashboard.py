@@ -114,7 +114,7 @@ def _extract_rows(
     probes of ``placement_decision`` events (the *committed* schedule —
     the explaining pass records exactly it); last, ``task_placed``
     events deduplicated to the final placement per task, because the
-    look-ahead emits one ``task_placed`` per speculative LoCBS pass and
+    look-ahead emits one ``task_placed`` per trial LoCBS pass and
     overlaying every pass would fabricate utilization.
     """
     sim = [

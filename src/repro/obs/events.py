@@ -34,7 +34,7 @@ REDISTRIBUTION_COSTED = "redistribution_costed"
 #: payload is a serialized :class:`repro.schedulers.provenance.PlacementDecision`)
 PLACEMENT_DECISION = "placement_decision"
 #: per-call probe-ladder pruning deltas (``considered``, ``bound_pruned``,
-#: ``dominance_pruned``) — how much of the hole scan the admissible bound
+#: ``dominance_pruned``) — how much of the hole scan the ``tau + et`` break
 #: and the dominance memo closed without probing
 PRUNE_STATS = "prune_stats"
 

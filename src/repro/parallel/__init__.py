@@ -1,35 +1,19 @@
-"""Parallel scheduling backend: warm worker pools and speculative prefill.
+"""Parallel scheduling backend: warm worker pools for sweeps.
 
 The paper's first stated future-work item is parallelizing the
-scheduling step itself. This package supplies the two layers of that:
-
-* :class:`SchedulerPool` — a persistent process pool that ships shared
-  context (graphs, clusters, scheduler configuration) to each worker
-  once via the pool initializer and then streams small work items at it,
-  with chunked dispatch, completion-order streaming, and per-worker
-  trace spooling. ``repro.experiments.run_comparison(workers=N)`` runs
-  its (graph, P) sweep cells on one.
-* :class:`LookaheadPrefetcher` — speculative look-ahead memo prefill for
-  ``LocMpsScheduler(parallel_workers=N)``: idle workers trial-schedule
-  the allocation vectors the serial allocation walk is about to request
-  (see :mod:`repro.parallel.speculate` for why those are predictable)
-  and feed the existing per-run memo. Committed schedules are provably
-  identical to serial runs — LoCBS is deterministic per allocation
-  vector — and the golden fingerprint suite enforces it.
+scheduling step itself. Independent sweep cells are where extra cores pay,
+so this package supplies :class:`SchedulerPool` — a persistent process pool
+that ships shared context (graphs, clusters, scheduler configuration) to
+each worker once via the pool initializer and then streams small work
+items at it, with chunked dispatch, completion-order streaming, and
+per-worker trace spooling. ``repro.experiments.run_comparison(workers=N)``
+runs its (graph, P) sweep cells on one.
 """
 
 from repro.parallel.pool import SchedulerPool, WorkerEnv, default_chunksize
-from repro.parallel.speculate import (
-    LookaheadPrefetcher,
-    PrefillContext,
-    new_prefill_stats,
-)
 
 __all__ = [
-    "LookaheadPrefetcher",
-    "PrefillContext",
     "SchedulerPool",
     "WorkerEnv",
     "default_chunksize",
-    "new_prefill_stats",
 ]

@@ -10,10 +10,6 @@ Three pieces back the incremental scheduling engine:
 * :mod:`repro.perf.golden` — exact makespan/placement fingerprints of every
   registered scheduler, guarding against schedule drift
   (``python -m repro.perf golden --check``);
-* :mod:`repro.perf.parallel` — serial vs ``parallel_workers=N`` suites
-  producing ``BENCH_parallel.json`` and checking the parallel backend
-  bit-identical against the golden file
-  (``python -m repro.perf parallel``).
 """
 
 from repro.perf.golden import (
@@ -32,12 +28,7 @@ from repro.perf.hotpath import (
     run_suite,
     wide_dag,
 )
-from repro.perf.parallel import (
-    available_parallelism,
-    check_parallel_golden,
-    run_parallel,
-    run_suite_parallel,
-)
+from repro.perf.onlinebench import available_parallelism
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
@@ -61,9 +52,6 @@ __all__ = [
     "wide_dag",
     "ReferenceLocMpsScheduler",
     "available_parallelism",
-    "check_parallel_golden",
     "locbs_schedule_reference",
-    "run_parallel",
-    "run_suite_parallel",
     "scan_blockers",
 ]

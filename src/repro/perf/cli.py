@@ -8,12 +8,6 @@
 ``python -m repro.perf golden [--check | --write] [--path PATH]``
     Verify (default) or regenerate the golden schedule fingerprints.
 
-``python -m repro.perf parallel [--quick] [--jobs N] [--out PATH]``
-    Benchmark serial vs ``parallel_workers=N`` LoC-MPS, verify the
-    parallel backend bit-identical (per suite and against the golden
-    file), and write ``BENCH_parallel.json``. Exits non-zero on identity
-    drift — never on missing speedup, which depends on free cores.
-
 ``python -m repro.perf cache [--quick] [--out PATH]``
     Benchmark the content-addressed schedule cache (cold vs hit vs
     graph-delta warm start, Zipf-replay hit ratio) and write
@@ -98,27 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--path", type=Path, default=GOLDEN_PATH, help="golden file location"
     )
 
-    par = sub.add_parser(
-        "parallel", help="serial vs parallel-workers benchmarks, emit JSON"
-    )
-    par.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced-scale suites (CI smoke; same shape, smaller graphs)",
-    )
-    par.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="parallel_workers for the parallel arm (default: 4)",
-    )
-    par.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_parallel.json"),
-        help="output path (default: ./BENCH_parallel.json)",
-    )
-
     cache = sub.add_parser(
         "cache", help="schedule-cache hit/warm-start benchmarks, emit JSON"
     )
@@ -164,44 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"GOLDEN DRIFT: {p}", file=sys.stderr)
             return 1
         print(f"golden check OK ({args.path})")
-        return 0
-
-    if args.command == "parallel":
-        from repro.perf.parallel import run_parallel
-
-        doc = run_parallel(
-            scale="quick" if args.quick else "full",
-            jobs=args.jobs,
-            progress=lambda msg: print(msg, flush=True),
-        )
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
-        for suite in doc["suites"]:
-            par = suite["parallel"]
-            print(
-                f"{suite['name']}: serial {suite['serial']['wall_s']:.3f}s, "
-                f"parallel({doc['jobs']}) {par['wall_s']:.3f}s, "
-                f"speedup {suite['speedup']:.2f}x, "
-                f"prefill_hit_rate {par['prefill_hit_rate']:.3f}, "
-                f"identical={suite['identical']}"
-            )
-        print(
-            f"cpu: count={doc['cpu']['count']} affinity={doc['cpu']['affinity']} "
-            f"(speedup requires >= jobs free cores)"
-        )
-        if doc["affinity_warning"]:
-            print(doc["affinity_warning"], file=sys.stderr)
-        print(f"wrote {args.out}")
-        if not doc["identical"] or not doc["golden_identical"]:
-            for p in doc["golden_problems"]:
-                print(f"PARALLEL DRIFT: {p}", file=sys.stderr)
-            for suite in doc["suites"]:
-                if not suite["identical"]:
-                    print(
-                        f"PARALLEL DRIFT: {suite['name']}: serial and "
-                        "parallel schedules diverged",
-                        file=sys.stderr,
-                    )
-            return 1
         return 0
 
     if args.command == "cache":

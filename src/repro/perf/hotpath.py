@@ -275,7 +275,7 @@ def run_suite(
         ),
     }
     # Probe-ladder pruning telemetry of the optimized arm (the reference
-    # arm is the frozen proof arm: it never prunes, by construction).
+    # arm keeps no prune counters).
     opt_counters = record["optimized"]["counters"]  # type: ignore[index]
     considered = int(opt_counters.get("cost_cache_probes_considered", 0))
     bound = int(opt_counters.get("cost_cache_probes_bound_pruned", 0))

@@ -24,10 +24,9 @@ LoCBS on every arrival costs — so its per-event latency grows with
 history while the incremental arm's stays flat.
 
 Latency caveat: wall-clock numbers from a 1-core container are inflated
-by interference (the same caveat ``BENCH_parallel.json`` carries); the
-``cpu`` block says whether this run was affected. Speedup and probe
-ratios are between arms measured in the same conditions and remain
-meaningful either way.
+by interference; the ``cpu`` block says whether this run was affected.
+Speedup and probe ratios are between arms measured in the same conditions
+and remain meaningful either way.
 """
 
 from __future__ import annotations
@@ -41,14 +40,21 @@ from repro.online.arrivals import poisson_zipf_stream
 from repro.online.daemon import OnlineSchedulerDaemon, latency_stats
 from repro.online.jobs import Job
 from repro.online.swf import jobs_from_swf
-from repro.perf.parallel import available_parallelism
 from repro.perf.schema import BENCH_SCHEMA_VERSION
 from repro.schedulers.locbs import LocbsOptions
 from repro.utils.rng import as_generator
 
-__all__ = ["run_onlinebench", "synthetic_swf_text"]
+__all__ = ["available_parallelism", "run_onlinebench", "synthetic_swf_text"]
 
 SCHEMA = "repro.perf.online/v1"
+
+
+def available_parallelism() -> int:
+    """CPUs this process may actually use (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def synthetic_swf_text(

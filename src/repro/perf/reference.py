@@ -23,13 +23,12 @@ loops), re-exported here as callable oracles — so the baseline arm stays
 pinned to the pre-numpy implementations and never silently inherits the
 array-native speedups.
 
-The reference scan is also the *proof arm* of the bound-and-prune layer:
-it carries no admissible lower bounds, no dominance memo, and no lazy
-candidate ladder — every candidate start time is materialized and probed
-under the seed's weak ``tau + et`` break only. The differential battery
-asserts the pruning production scan produces bit-identical schedules to
-this unpruned arm, which is what makes the pruning *provably*
-schedule-preserving rather than just plausibly so.
+The reference scan carries no dominance memo and no lazy candidate
+ladder — every candidate start time is materialized and probed under the
+seed's ``tau + et`` break only. The differential battery asserts the
+production scan produces bit-identical schedules to this arm, which is
+what makes its shortcuts *provably* schedule-preserving rather than just
+plausibly so.
 
 Property tests (``tests/test_perf_equivalence.py``) and the differential
 battery (``tests/test_array_equivalence.py``) assert fast == naive on

@@ -23,10 +23,10 @@ on randomized inputs.
 
 Nothing here is exported through the public API; scalar oracles exist only
 for differential testing and the ``BENCH_hotpath.json`` reference arm.
-These oracles stay frozen and unpruned on purpose: consumers built on them
-(the reference scheduler arm, the equivalence batteries) must never
-inherit the probe-ladder bound-and-prune layer, or the differential tests
-would be comparing the pruned scan against itself.
+These oracles stay frozen on purpose: consumers built on them (the
+reference scheduler arm, the equivalence batteries) must never inherit the
+production scan's shortcuts (dominance memo, lazy ladder), or the
+differential tests would be comparing that scan against itself.
 """
 
 from __future__ import annotations

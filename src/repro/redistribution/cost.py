@@ -75,41 +75,6 @@ class RedistributionModel:
         agg = min(len(src_procs), len(dst_procs)) * self.cluster.bandwidth
         return volume * frac / agg
 
-    def min_transfer_time(
-        self, src_width: int, dst_width: int, volume: float
-    ) -> float:
-        """Admissible lower bound on :meth:`transfer_time` over all sets.
-
-        For widths ``p = |src|`` and ``q = |dst|``, the block-cyclic local
-        fraction is ``hits / lcm(p, q)`` where *hits* counts the diagonal
-        residues of the lcm period that land the same bytes on the same
-        processor — at most ``min(p, q)`` of them, whatever the concrete
-        sets are. ``1 - min(p, q) / lcm(p, q)`` therefore lower-bounds the
-        non-local fraction of *every* placement of these widths.
-
-        The arithmetic deliberately mirrors :meth:`transfer_time`'s exact
-        float-operation sequence (division, subtraction, multiplication,
-        division — each monotone under IEEE-754 round-to-nearest), with
-        the integer ``hits <= min(p, q)`` substitution applied before any
-        rounding. That makes the bound *bit-exactly* admissible::
-
-            min_transfer_time(|S|, |D|, v) <= transfer_time(S, D, v)
-
-        for all concrete sets ``S``, ``D`` — the property the LoCBS probe
-        ladder's early-exit bound rests on (schedules stay bit-identical,
-        enforced by ``tests/test_array_equivalence.py`` and the golden
-        fingerprints).
-        """
-        if volume <= 0.0:
-            check_non_negative(volume, "volume")
-            return 0.0
-        m = min(src_width, dst_width)
-        frac = 1.0 - m / lcm(src_width, dst_width)
-        if frac <= 0.0:
-            return 0.0
-        agg = m * self.cluster.bandwidth
-        return volume * frac / agg
-
     def single_port_time(
         self, src_procs: Sequence[int], dst_procs: Sequence[int], volume: float
     ) -> float:

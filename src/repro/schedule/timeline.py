@@ -397,7 +397,7 @@ class ProcessorTimeline:
         """Lazy :meth:`release_times` — same values, yielded on demand.
 
         The backfill probe ladder usually stops after the first couple of
-        candidates once its admissible bound closes the scan, so it should
+        candidates once its ``tau + et`` break closes the scan, so it should
         not pay for materializing (and copying) the whole tail. Only valid
         while the chart is unmodified — the slot search never reserves
         mid-scan, so iteration is always over a frozen chart.

@@ -81,8 +81,7 @@ class CostCache:
     """Memoizes edge-cost estimates and concrete redistribution times."""
 
     __slots__ = ("model", "_bandwidth", "_edge_memo", "_transfer_memo",
-                 "_min_transfer_memo", "_graph_memo", "transfer_limit",
-                 "stats")
+                 "_graph_memo", "transfer_limit", "stats")
 
     def __init__(
         self, cluster: Cluster, *, transfer_limit: Optional[int] = None
@@ -96,8 +95,6 @@ class CostCache:
         #: per graph edge: endpoint widths -> allocation-time estimate
         self._edge_memo: Dict[Tuple[str, str], Dict[Tuple[int, int], float]] = {}
         self._transfer_memo: Dict[_TransferKey, float] = {}
-        #: admissible width-pair lower bounds: (|src|, |dst|, volume) -> time
-        self._min_transfer_memo: Dict[Tuple[int, int, float], float] = {}
         #: graph object id -> (graph ref, (num_tasks, num_edges), invariants)
         self._graph_memo: Dict[
             int, Tuple[TaskGraph, Tuple[int, int], GraphInvariants]
@@ -111,8 +108,6 @@ class CostCache:
             "transfer_clears": 0,
             "graph_hits": 0,
             "graph_misses": 0,
-            "min_transfer_hits": 0,
-            "min_transfer_misses": 0,
             "probes_considered": 0,
             "probes_bound_pruned": 0,
             "probes_dominance_pruned": 0,
@@ -219,27 +214,6 @@ class CostCache:
             t = memo[key] = self.model.transfer_time(src_procs, dst_procs, volume)
         else:
             self.stats["transfer_hits"] += 1
-        return t
-
-    def min_transfer_time(
-        self, src_width: int, dst_width: int, volume: float
-    ) -> float:
-        """Cached :meth:`RedistributionModel.min_transfer_time` (exact values).
-
-        Keyed by widths only — that is the whole point of the bound: it is
-        valid for *every* concrete set of those widths, so the LoCBS probe
-        ladder can price a prune test without knowing the chosen subset.
-        """
-        key = (src_width, dst_width, volume)
-        memo = self._min_transfer_memo
-        t = memo.get(key)
-        if t is None:
-            self.stats["min_transfer_misses"] += 1
-            t = memo[key] = self.model.min_transfer_time(
-                src_width, dst_width, volume
-            )
-        else:
-            self.stats["min_transfer_hits"] += 1
         return t
 
     # -- telemetry -----------------------------------------------------------------

@@ -81,32 +81,15 @@ __all__ = [
 #: tolerance when matching a blocked start time against finish times
 _PSEUDO_TOL = 1e-6
 
-#: Kill switch for the bound-and-prune layer of the hole scan (admissible
-#: data-ready lower bounds + dominance memoization). With pruning off, the
-#: bound terms collapse to neutral values that reproduce the seed code's
-#: weaker ``tau + et >= best_finish - EPS`` test bit-for-bit — the proof
-#: arm the differential battery flips to compare pruned vs unpruned scans
-#: (``tests/test_array_equivalence.py::TestPruneDifferential``).
-_PRUNING_ENABLED = True
-
 
 class TransferTimer(Protocol):
-    """What the placement hot path needs from a redistribution model.
-
-    ``min_transfer_time`` powers the probe-ladder prune bound; the scan
-    reaches it through ``getattr(..., None)``, so models without it (and
-    the frozen proof arms) simply run unpruned.
-    """
+    """What the placement hot path needs from a redistribution model."""
 
     def transfer_time(
         self,
         src_procs: Tuple[int, ...],
         dst_procs: Tuple[int, ...],
         volume: float,
-    ) -> float: ...
-
-    def min_transfer_time(
-        self, src_width: int, dst_width: int, volume: float
     ) -> float: ...
 
 
@@ -497,39 +480,14 @@ def _place_task(
     recording = provenance is not None
     stats: Optional[Dict[str, int]] = getattr(model, "stats", None)
 
-    # Admissible data-ready lower bounds (subset-independent). With pruning
-    # on, the tau loop breaks at ``max(tau, lb_ready) + et`` (overlap) /
-    # ``tau + comm_lb + et`` (non-overlap) instead of the weaker
-    # ``tau + et`` test. ``min_transfer_time(|src|, np_t, v)`` never
-    # exceeds ``transfer_time(src, chosen, v)`` for *any* ``np_t``-subset
-    # the scan could choose — including roomy retries — and the float
-    # combinations below mirror :func:`_time_placement`'s exact operation
-    # sequence (monotone IEEE-754 add/max per term), so the bound never
-    # overestimates a feasible finish at tau. Breaking on it is therefore
-    # schedule-preserving. With pruning off, or a model without the bound
-    # query, the neutral terms reproduce the weak test bit-for-bit.
-    lb_ready = -math.inf  # overlap: bound on the parent-arrival maximum
-    comm_lb = 0.0  # non-overlap: bound on the serialized comm sum
-    min_tt = (
-        getattr(model, "min_transfer_time", None) if _PRUNING_ENABLED else None
-    )
-    if min_tt is not None:
-        if overlap:
-            for _, pprocs, ft, volume in parent_info:
-                arrival = ft + min_tt(len(pprocs), np_t, volume)
-                if arrival > lb_ready:
-                    lb_ready = arrival
-        else:
-            for _, pprocs, _, volume in parent_info:
-                comm_lb += min_tt(len(pprocs), np_t, volume)
-
     candidates: Iterable[float]
     if options.backfill:
         # Only busy-interval *ends* can enlarge the idle set, so they (plus
         # the data-ready time) are the only start times worth probing.
-        # Generated lazily: the bound usually closes the ladder within a
-        # few probes, so the tail is never materialized; the count (one
-        # bisect) still tells the telemetry how much the bound pruned.
+        # Generated lazily: the ``tau + et`` break usually closes the
+        # ladder within a few probes, so the tail is never materialized;
+        # the count (one bisect) still tells the telemetry how much the
+        # break pruned.
         ladder_total = 1 + timeline.release_count_after(ready_base)
         candidates = chain(
             (ready_base,), timeline.release_times_after(ready_base)
@@ -579,7 +537,7 @@ def _place_task(
     if options.backfill and provenance is None and not tracer.enabled:
         best, considered, dom_pruned = _scan_batch(
             candidates, np_t, et, parent_info, locality, model, timeline,
-            overlap, lb_ready, comm_lb,
+            overlap,
         )
         if stats is not None:
             stats["probes_considered"] += considered
@@ -620,17 +578,12 @@ def _place_task(
 
     for tau in candidates:
         if best is not None:
-            if overlap:
-                bound_start = lb_ready if lb_ready > tau else tau
-                bound_finish = bound_start + et
-            else:
-                bound_finish = (tau + comm_lb) + et
-            if bound_finish >= best[0] - EPS:
+            if tau + et >= best[0] - EPS:
                 # No later start can beat the current finish time: every
-                # feasible placement at tau finishes at ``bound_finish`` or
-                # later (the bound is admissible). When recording, keep
-                # probing anyway — the extra probes are exactly the losing
-                # alternatives the regret list needs true margins for.
+                # placement at tau finishes at ``tau + et`` or later. When
+                # recording, keep probing anyway — the extra probes are
+                # exactly the losing alternatives the regret list needs
+                # true margins for.
                 if not recording:
                     break
                 pruned_by_bound += 1
@@ -712,7 +665,7 @@ def _place_task(
 
     if stats is not None and not recording:
         # Hot-path telemetry only: the recording (explain) re-run probes
-        # past the bound on purpose and must not skew the prune rates.
+        # past the break on purpose and must not skew the prune rates.
         stats["probes_considered"] += entered
         stats["probes_bound_pruned"] += ladder_total - entered
 
@@ -800,8 +753,6 @@ def _scan_batch(
     model: "TransferTimer",
     timeline: ProcessorTimeline,
     overlap: bool,
-    lb_ready: float,
-    comm_lb: float,
 ) -> Tuple[Optional[Tuple[float, float, float, Tuple[int, ...]]], int, int]:
     """The hole scan of Algorithm 2, restructured around the array chart.
 
@@ -830,11 +781,9 @@ def _scan_batch(
       flips between consecutive probes.
 
     The sequential semantics are preserved exactly: candidates are
-    consumed in ascending order, the admissible-bound break (``lb_ready``
-    / ``comm_lb`` from the caller; neutral values reproduce the seed's
-    ``tau + et >= best_finish - EPS`` test) stops the scan at a probe the
-    unpruned scan could never have won, and infeasible locality picks run
-    the scalar roomy retry verbatim.
+    consumed in ascending order, the ``tau + et >= best_finish - EPS``
+    break stops the scan at a probe no later start could win, and
+    infeasible locality picks run the scalar roomy retry verbatim.
 
     Dominance memoization: :func:`_pick_by_locality` is a pure function of
     the idle ``(proc, horizon)`` pair set (its ranking key is total and
@@ -844,7 +793,7 @@ def _scan_batch(
     concludes without any re-ranking — counted as dominance-pruned.
 
     Returns ``(best, considered, dominance_pruned)``; the caller derives
-    bound-pruned probes from the ladder length (lazily generated
+    break-pruned probes from the ladder length (lazily generated
     candidates are never materialized here).
     """
     P = len(timeline.processors)
@@ -888,16 +837,10 @@ def _scan_batch(
     #: where its member probes would just duplicate the classification
     try_groups = bool(groups)
     for tau in candidates:
-        if best is not None:
-            # admissible-bound break: no feasible placement at (or after)
-            # tau can finish before bound_finish, so the ladder is closed
-            if overlap:
-                bound_start = lb_ready if lb_ready > tau else tau
-                bound_finish = bound_start + et
-            else:
-                bound_finish = (tau + comm_lb) + et
-            if bound_finish >= best[0] - EPS:
-                break
+        # no placement at (or after) tau can finish before tau + et, so
+        # the ladder is closed
+        if best is not None and tau + et >= best[0] - EPS:
+            break
         entered += 1
         sig_hit = False
         tol = tau + EPS

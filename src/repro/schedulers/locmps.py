@@ -28,7 +28,6 @@ from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph, concurrency_ratio
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.speculate import new_prefill_stats
 from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache
@@ -97,18 +96,6 @@ class LocMpsScheduler(Scheduler):
         allocations. Cumulative hit/miss/eviction statistics are exposed
         on :attr:`memo_stats` and as ``memo_hit``/``memo_miss`` trace
         events.
-    parallel_workers:
-        ``None`` or ``1`` (default) schedules serially. ``N >= 2`` spins
-        up a warm pool of ``N`` worker processes per :meth:`run` that
-        speculatively trial-schedule the allocation vectors the serial
-        allocation walk is about to request (banned-set restarts and the
-        current look-ahead chain; see
-        :mod:`repro.parallel.speculate`) and feed the per-run memo. The
-        committed schedule is bit-identical to a serial run — LoCBS is
-        deterministic per allocation vector, and the golden fingerprint
-        suite enforces it. Telemetry lands in :attr:`prefill_stats`.
-        Worth it for large graphs/machines where LoCBS passes dominate;
-        for small problems pool startup outweighs the win.
     cost_cache_limit:
         Upper bound on the run-scoped :class:`CostCache`'s concrete
         transfer-time memo (cleared wholesale when full). ``None``
@@ -161,7 +148,6 @@ class LocMpsScheduler(Scheduler):
         context: Optional["SchedulingContext"] = None,
         memo_limit: Optional[int] = None,
         cost_cache_limit: Optional[int] = None,
-        parallel_workers: Optional[int] = None,
         initial_allocation: Optional[Mapping[str, int]] = None,
         tracer: Optional[Tracer] = None,
         explain: bool = False,
@@ -180,10 +166,6 @@ class LocMpsScheduler(Scheduler):
             raise ValueError(
                 f"cost_cache_limit must be >= 1 or None, got {cost_cache_limit}"
             )
-        if parallel_workers is not None and parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1 or None, got {parallel_workers}"
-            )
         self.look_ahead_depth = look_ahead_depth
         self.top_fraction = top_fraction
         self.backfill = backfill
@@ -196,7 +178,6 @@ class LocMpsScheduler(Scheduler):
         self.context = context
         self.memo_limit = memo_limit
         self.cost_cache_limit = cost_cache_limit
-        self.parallel_workers = parallel_workers
         #: optional warm-start vector; only adopted when strictly profitable
         self.initial_allocation = (
             dict(initial_allocation) if initial_allocation is not None else None
@@ -212,13 +193,12 @@ class LocMpsScheduler(Scheduler):
             "hits": 0, "misses": 0, "evictions": 0, "peak_size": 0, "size": 0,
         }
         #: cumulative cost-cache telemetry across every run() (hits/misses
-        #: of the edge-estimate / concrete-transfer / admissible-bound
-        #: memos, plus the hole-scan probe-ladder pruning counters)
+        #: of the edge-estimate / concrete-transfer / graph memos, plus the
+        #: hole-scan probe-ladder pruning counters)
         self.cost_cache_stats: Dict[str, int] = {
             "edge_hits": 0, "edge_misses": 0,
             "transfer_hits": 0, "transfer_misses": 0, "transfer_clears": 0,
             "graph_hits": 0, "graph_misses": 0,
-            "min_transfer_hits": 0, "min_transfer_misses": 0,
             "probes_considered": 0,
             "probes_bound_pruned": 0,
             "probes_dominance_pruned": 0,
@@ -228,39 +208,11 @@ class LocMpsScheduler(Scheduler):
         self.warm_start_stats: Dict[str, int] = {
             "attempted": 0, "adopted": 0, "rejected": 0,
         }
-        #: cumulative speculative-prefill telemetry across every run()
-        #: (all zeros unless ``parallel_workers`` enables speculation):
-        #: chains submitted/completed/cancelled/errored, speculative LoCBS
-        #: results received, memo misses served by prefill vs computed
-        #: locally, and speculative results never consumed
-        self.prefill_stats: Dict[str, int] = new_prefill_stats()
         #: the run-scoped cost cache while run() is active (None otherwise);
         #: _schedule threads it into every look-ahead LoCBS call
         self._cost_cache: Optional[CostCache] = None
         if not backfill:
             self.name = "locmps-nobackfill"
-
-    def _config_kwargs(self) -> Dict[str, object]:
-        """Constructor kwargs reproducing this scheduler's decisions.
-
-        Used to build *serial* clones in speculative prefill workers:
-        everything that influences candidate selection or LoCBS output is
-        included; ``parallel_workers`` and ``tracer`` deliberately are
-        not (workers never recurse or trace).
-        """
-        return {
-            "look_ahead_depth": self.look_ahead_depth,
-            "top_fraction": self.top_fraction,
-            "backfill": self.backfill,
-            "comm_blind": self.comm_blind,
-            "max_outer_iterations": self.max_outer_iterations,
-            "locality_blind": self.locality_blind,
-            "edge_growth": self.edge_growth,
-            "context": self.context,
-            "memo_limit": self.memo_limit,
-            "cost_cache_limit": self.cost_cache_limit,
-            "initial_allocation": self.initial_allocation,
-        }
 
     # -- scheduling engine -------------------------------------------------------
 
@@ -357,11 +309,7 @@ class LocMpsScheduler(Scheduler):
     def _static_tables(
         self, graph: TaskGraph, cluster: Cluster
     ) -> Tuple[Dict[str, float], Dict[str, int]]:
-        """Per-task concurrency ratios and width limits (fixed per run).
-
-        Shared by :meth:`run` and the speculative prefill workers so both
-        rank candidates from identical tables.
-        """
+        """Per-task concurrency ratios and width limits (fixed per run)."""
         P = cluster.num_processors
         g = graph.nx_graph()
         cr = {
@@ -385,10 +333,9 @@ class LocMpsScheduler(Scheduler):
     ) -> Tuple[Optional[EntryPoint], str]:
         """One look-ahead selection step: the candidate and what dominated.
 
-        Encapsulates the computation-vs-communication branch of Algorithm 1
-        so the serial walk, the speculation planner, and the worker-side
-        chain walker all take *exactly* the same decision from the same
-        inputs. Returns ``(candidate, "comp" | "comm")``; the candidate is
+        Encapsulates the computation-vs-communication branch of
+        Algorithm 1. Returns ``(candidate, "comp" | "comm")``; the
+        candidate is
         ``None`` when every critical-path task and edge is banned or
         saturated.
         """
@@ -472,20 +419,6 @@ class LocMpsScheduler(Scheduler):
         tracer = self.tracer
         stats = self.memo_stats
 
-        # Speculative look-ahead prefill: warm workers trial-schedule the
-        # allocation vectors this walk is about to request and feed the
-        # memo ahead of it. Purely an accelerator — every consumed result
-        # is the exact LoCBS output the serial path would compute, and a
-        # missed speculation just falls back to the local pass below.
-        prefetcher = None
-        if self.parallel_workers is not None and self.parallel_workers > 1:
-            from repro.parallel.speculate import LookaheadPrefetcher
-
-            prefetcher = LookaheadPrefetcher(
-                self, graph, cluster,
-                workers=self.parallel_workers, stats=self.prefill_stats,
-            )
-
         def schedule_for(alloc: Mapping[str, int]) -> SchedulingResult:
             key = tuple(alloc[t] for t in tasks)
             result = memo.get(key)
@@ -497,15 +430,11 @@ class LocMpsScheduler(Scheduler):
             stats["misses"] += 1
             if tracer.enabled:
                 tracer.event("memo_miss", size=len(memo))
-            result = prefetcher.fetch(key) if prefetcher is not None else None
-            if result is None:
-                if tracer.enabled:
-                    with tracer.span("locbs_schedule"):
-                        result = self._schedule(graph, cluster, alloc)
-                else:
+            if tracer.enabled:
+                with tracer.span("locbs_schedule"):
                     result = self._schedule(graph, cluster, alloc)
-            elif tracer.enabled:
-                tracer.event("memo_prefill_hit", size=len(memo))
+            else:
+                result = self._schedule(graph, cluster, alloc)
             if self.memo_limit is not None and len(memo) >= self.memo_limit:
                 del memo[next(iter(memo))]  # FIFO: oldest allocation first
                 stats["evictions"] += 1
@@ -564,8 +493,6 @@ class LocMpsScheduler(Scheduler):
             )
 
             for _outer in range(outer_cap):
-                if prefetcher is not None:
-                    prefetcher.plan(best_result, best_alloc, frozenset(marked))
                 alloc = dict(best_alloc)
                 old_sl = best_sl
                 cur_result = best_result
@@ -643,8 +570,6 @@ class LocMpsScheduler(Scheduler):
                     )
                 self.provenance = recorder
         finally:
-            if prefetcher is not None:
-                prefetcher.close()
             for key, val in cache.stats.items():
                 self.cost_cache_stats[key] += val
             self._cost_cache = None

@@ -113,15 +113,11 @@ class PlacementDecision:
 
     ``candidates`` holds every hole the scan examined, in probe order;
     ``winner`` indexes the probe that became the placement. ``pruned``
-    counts the candidates that fail the production scan's admissible
-    early-exit bound (``max(tau, lb_ready) + et >= best_finish`` with
-    overlap, ``tau + comm_lb + et >= best_finish`` without — the data-ready
-    lower bounds from
-    :meth:`~repro.redistribution.RedistributionModel.min_transfer_time`):
-    the unrecorded scan stops at the first such candidate, but the
-    explaining scan probes them all anyway — the bound proves they cannot
-    beat the winner, so probing only adds the losers' true margins, never
-    changes the placement.
+    counts the candidates that fail the production scan's early-exit test
+    ``tau + et >= best_finish``: the unrecorded scan stops at the first
+    such candidate, but the explaining scan probes them all anyway — the
+    test proves they cannot beat the winner, so probing only adds the
+    losers' true margins, never changes the placement.
     """
 
     task: str

@@ -306,7 +306,7 @@ class TestWarmStart:
 
     def test_config_doc_records_seed(self):
         sched = LocMpsScheduler(initial_allocation={"a": 2})
-        assert sched._config_kwargs()["initial_allocation"] == {"a": 2}
+        assert sched.initial_allocation == {"a": 2}
 
 
 class TestCachedScheduleService:

@@ -1,4 +1,4 @@
-"""Cache benchmark harness + parallel-benchmark affinity warning."""
+"""Cache benchmark harness."""
 
 import pytest
 
@@ -10,21 +10,8 @@ from repro.perf.cachebench import (
     run_zipf_replay,
 )
 from repro.perf.golden import schedule_digest
-from repro.perf.parallel import oversubscription_warning
 
 from tests.helpers import build_random_graph
-
-
-class TestOversubscriptionWarning:
-    def test_enough_cores_is_quiet(self):
-        assert oversubscription_warning(4, 4) is None
-        assert oversubscription_warning(2, 8) is None
-
-    def test_too_few_cores_warns(self):
-        msg = oversubscription_warning(4, 1)
-        assert msg is not None
-        assert "4 parallel jobs" in msg
-        assert "only 1 core" in msg
 
 
 class TestPerturbGraph:
