@@ -37,6 +37,9 @@ PLACEMENT_DECISION = "placement_decision"
 #: ``dominance_pruned``) — how much of the hole scan the ``tau + et`` break
 #: and the dominance memo closed without probing
 PRUNE_STATS = "prune_stats"
+#: per-pass count of leading placements copied from the pass's base
+#: (``count``; 0 for a cold pass) instead of hole-scanned
+PREFIX_REUSED = "prefix_reused"
 
 #: replay engine (simulated-time spans, not wall-clock)
 SIM_TASK = "sim_task"
@@ -78,6 +81,7 @@ EVENT_TYPES = frozenset(
         REDISTRIBUTION_COSTED,
         PLACEMENT_DECISION,
         PRUNE_STATS,
+        PREFIX_REUSED,
         SIM_TASK,
         SIM_TRANSFER,
         EXPERIMENT_CELL,

@@ -405,7 +405,9 @@ class ReferenceLocMpsScheduler(LocMpsScheduler):
 
     name = "locmps-reference"
 
-    def _schedule(self, graph, cluster, alloc) -> SchedulingResult:
+    def _schedule(self, graph, cluster, alloc, base=None) -> SchedulingResult:
+        # *base* is ignored: every reference pass is cold, which is what
+        # makes this arm the oracle for the production prefix reuse.
         options = LocbsOptions(
             backfill=self.backfill,
             comm_blind=self.comm_blind,

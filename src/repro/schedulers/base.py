@@ -20,10 +20,15 @@ __all__ = ["Scheduler", "SchedulingResult", "clamp_allocation", "edge_cost_map"]
 
 @dataclass
 class SchedulingResult:
-    """What a scheduler returns: the schedule and the schedule-DAG ``G'``."""
+    """What a scheduler returns: the schedule and the schedule-DAG ``G'``.
+
+    ``placements_reused`` counts the leading placements a LoCBS pass copied
+    from its ``base`` pass instead of scanning for them (0 for cold passes).
+    """
 
     schedule: Schedule
     sdag: ScheduleDAG
+    placements_reused: int = 0
 
     @property
     def makespan(self) -> float:

@@ -204,6 +204,7 @@ def locbs_schedule(
     tracer: Optional[Tracer] = None,
     cost_cache: Optional[CostCache] = None,
     provenance: Optional[ProvenanceRecorder] = None,
+    base: Optional[SchedulingResult] = None,
 ) -> SchedulingResult:
     """Schedule *graph* under *allocation* with locality-conscious backfill.
 
@@ -232,7 +233,29 @@ def locbs_schedule(
     and, when a tracer is active, mirrors each decision as a
     ``placement_decision`` trace event. Recording never changes the
     schedule; ``None`` (the default) keeps the scan free of bookkeeping.
+
+    *base* (optional) is an earlier pass over the same *graph* and
+    *cluster*, run with the same *options* and *context* under a different
+    allocation — the LoC-MPS look-ahead passes the pass it widened one
+    task or edge from. A placement depends only on the task's width, its
+    parents' placements and the chart built by the placements before it,
+    so while each popped task is the next task of *base* (in its pop
+    order) at the same width, the base's placement is committed as it is,
+    without a hole scan. The first mismatch ends the reuse for the rest of
+    the pass, and the result is identical to a cold pass either way;
+    ``placements_reused`` on the result counts the copied prefix. Options
+    and context are not checked — the caller must keep them equal — but a
+    *base* over another graph or cluster object raises
+    :class:`~repro.exceptions.ScheduleError`, as does combining *base*
+    with *provenance*, which needs every decision re-derived.
     """
+    if base is not None:
+        if base.sdag.base is not graph:
+            raise ScheduleError("base pass was run on a different graph")
+        if base.schedule.cluster is not cluster:
+            raise ScheduleError("base pass was run on a different cluster")
+        if provenance is not None:
+            raise ScheduleError("provenance recording needs a cold pass (base=None)")
     tracer = tracer or NULL_TRACER
     alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
@@ -275,20 +298,35 @@ def locbs_schedule(
         if n_preds[t] == 0:
             ready.push(t)
 
+    # The base's placements in pop order; ``reuse`` holds the next one
+    # until the first mismatch, then stays None for the rest of the pass.
+    prefix = iter(base.schedule) if base is not None else iter(())
+    reuse = next(prefix, None)
+    reused = 0
+
     while unplaced:
         if not ready:
             raise ScheduleError("no ready task but tasks remain: cyclic graph?")
         tp = ready.pop()
         unplaced.discard(tp)
 
-        placement, comm_times, est_tp = _place_task(
-            tp, preds[tp], graph, cluster, alloc, cache, timeline, schedule,
-            options, context, tracer, provenance,
-        )
-        if provenance is not None and tracer.enabled:
-            tracer.event(
-                "placement_decision", **provenance.decisions[-1].to_dict()
+        if reuse is not None and reuse.name == tp and reuse.width == alloc[tp]:
+            placement = reuse
+            reuse = next(prefix, None)
+            reused += 1
+            comm_times, est_tp = _reused_inbound(
+                tp, preds[tp], schedule, base.schedule.edge_comm_times, context
             )
+        else:
+            reuse = None
+            placement, comm_times, est_tp = _place_task(
+                tp, preds[tp], graph, cluster, alloc, cache, timeline, schedule,
+                options, context, tracer, provenance,
+            )
+            if provenance is not None and tracer.enabled:
+                tracer.event(
+                    "placement_decision", **provenance.decisions[-1].to_dict()
+                )
         occupied_from = placement.start
         timeline.reserve(placement.processors, placement.start, placement.finish)
         schedule.place(placement)
@@ -336,10 +374,39 @@ def locbs_schedule(
             bound_pruned=_ps["probes_bound_pruned"] - probes_base[1],
             dominance_pruned=_ps["probes_dominance_pruned"] - probes_base[2],
         )
+        tracer.event("prefix_reused", count=reused)
     sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
     for u, v in sdag_pseudo:
         sdag.add_pseudo_edge(u, v)
-    return SchedulingResult(schedule=schedule, sdag=sdag)
+    return SchedulingResult(
+        schedule=schedule, sdag=sdag, placements_reused=reused
+    )
+
+
+def _reused_inbound(
+    tp: str,
+    parents: Sequence[str],
+    schedule: Schedule,
+    base_comm: Mapping[Tuple[str, str], float],
+    context: Optional["SchedulingContext"],
+) -> Tuple[Dict[Tuple[str, str], float], float]:
+    """Inbound transfer times and ``est(tp)`` of a placement copied from a base.
+
+    The same keys, order and arithmetic as the tail of :func:`_place_task`,
+    with the transfer times read from the base pass (the placement and its
+    parents' placements are identical there, so are its transfers).
+    """
+    inbound = [(u, schedule[u].finish) for u in parents]
+    if context is not None:
+        inbound += [
+            (f"__ext__{ext.label}", ext.ready_time)
+            for ext in context.inputs_for(tp)
+        ]
+    comm_times = {(u, tp): base_comm[(u, tp)] for u, _ in inbound}
+    est_tp = max(
+        (ft + comm_times[(u, tp)] for u, ft in inbound), default=0.0
+    )
+    return comm_times, est_tp
 
 
 def splice_schedule(

@@ -128,9 +128,11 @@ class LocMpsScheduler(Scheduler):
         placed task of the returned schedule (candidate holes, trial
         timings, why the losers lost), and an attached tracer receives a
         ``placement_decision`` event per task. LoCBS is deterministic per
-        allocation vector, so the explaining pass reproduces the
-        committed schedule exactly — the search itself runs unrecorded
-        and bit-identical to ``explain=False``.
+        allocation vector, so the explaining pass — always a cold pass —
+        reproduces the committed schedule exactly; any placement or
+        transfer time that differs raises
+        :class:`~repro.exceptions.ScheduleError`. The search itself runs
+        unrecorded and bit-identical to ``explain=False``.
     """
 
     name = "locmps"
@@ -188,9 +190,13 @@ class LocMpsScheduler(Scheduler):
         #: (None until a run with ``explain=True`` completes)
         self.provenance: Optional[ProvenanceRecorder] = None
         #: cumulative allocation-memo telemetry across every run() of this
-        #: instance: hits, misses, evictions, peak_size, last run's size
+        #: instance: hits, misses, evictions, peak_size, last run's size,
+        #: and the placements the LoCBS passes behind the misses copied
+        #: from their base pass (placements_reused) or hole-scanned
+        #: (placements_scanned)
         self.memo_stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0, "peak_size": 0, "size": 0,
+            "placements_reused": 0, "placements_scanned": 0,
         }
         #: cumulative cost-cache telemetry across every run() (hits/misses
         #: of the edge-estimate / concrete-transfer / graph memos, plus the
@@ -222,6 +228,7 @@ class LocMpsScheduler(Scheduler):
         cluster: Cluster,
         alloc: Mapping[str, int],
         provenance: Optional[ProvenanceRecorder] = None,
+        base: Optional[SchedulingResult] = None,
     ) -> SchedulingResult:
         options = LocbsOptions(
             backfill=self.backfill,
@@ -232,7 +239,7 @@ class LocMpsScheduler(Scheduler):
             graph, cluster, alloc, options,
             context=self.context, tracer=self.tracer,
             cost_cache=self._cost_cache,
-            provenance=provenance,
+            provenance=provenance, base=base,
         )
 
     # -- candidate selection -------------------------------------------------------
@@ -419,7 +426,9 @@ class LocMpsScheduler(Scheduler):
         tracer = self.tracer
         stats = self.memo_stats
 
-        def schedule_for(alloc: Mapping[str, int]) -> SchedulingResult:
+        def schedule_for(
+            alloc: Mapping[str, int], base: Optional[SchedulingResult] = None
+        ) -> SchedulingResult:
             key = tuple(alloc[t] for t in tasks)
             result = memo.get(key)
             if result is not None:
@@ -432,9 +441,13 @@ class LocMpsScheduler(Scheduler):
                 tracer.event("memo_miss", size=len(memo))
             if tracer.enabled:
                 with tracer.span("locbs_schedule"):
-                    result = self._schedule(graph, cluster, alloc)
+                    result = self._schedule(graph, cluster, alloc, base=base)
             else:
-                result = self._schedule(graph, cluster, alloc)
+                result = self._schedule(graph, cluster, alloc, base=base)
+            stats["placements_reused"] += result.placements_reused
+            stats["placements_scanned"] += (
+                len(result.schedule) - result.placements_reused
+            )
             if self.memo_limit is not None and len(memo) >= self.memo_limit:
                 del memo[next(iter(memo))]  # FIFO: oldest allocation first
                 stats["evictions"] += 1
@@ -529,7 +542,9 @@ class LocMpsScheduler(Scheduler):
                     if iter_cnt == 0:
                         entry = candidate
 
-                    cur_result = schedule_for(alloc)
+                    # The pass this step widened from: its placements up
+                    # to the first pop the growth changes are reused.
+                    cur_result = schedule_for(alloc, base=cur_result)
                     cur_sl = cur_result.makespan
                     improved = cur_sl < best_sl * (1.0 - _IMPROVE_RTOL)
                     if tracer.enabled:
@@ -551,11 +566,13 @@ class LocMpsScheduler(Scheduler):
                 else:
                     marked.clear()
 
-            # Explaining pass: one extra LoCBS run on the committed
+            # Explaining pass: one extra, cold LoCBS run on the committed
             # allocation with the recorder attached, while the run-scoped
             # cost cache is still alive (so it is nearly free — every
             # transfer timing is already memoized). LoCBS is deterministic
-            # per allocation, so the pass reproduces best_result exactly.
+            # per allocation, so the pass reproduces best_result exactly —
+            # which also checks the (possibly prefix-reused) committed
+            # schedule against a cold pass, row for row.
             if self.explain:
                 recorder = ProvenanceRecorder(
                     label=f"{graph.name}/P{P}/{self.name}"
@@ -563,11 +580,7 @@ class LocMpsScheduler(Scheduler):
                 explained = self._schedule(
                     graph, cluster, best_alloc, provenance=recorder
                 )
-                if explained.makespan != best_result.makespan:
-                    raise ScheduleError(
-                        "explain pass diverged from the committed schedule: "
-                        f"{explained.makespan!r} != {best_result.makespan!r}"
-                    )
+                _check_same_schedule(explained, best_result)
                 self.provenance = recorder
         finally:
             for key, val in cache.stats.items():
@@ -583,3 +596,27 @@ class LocMpsScheduler(Scheduler):
             )
         best_result.schedule.scheduler = self.name
         return best_result
+
+
+def _check_same_schedule(
+    explained: SchedulingResult, committed: SchedulingResult
+) -> None:
+    """Raise :class:`ScheduleError` unless the two schedules are identical.
+
+    Compares every placement row and every inbound transfer time, so a
+    divergence that leaves the makespan unchanged is still caught.
+    """
+    ours, theirs = explained.schedule.placements, committed.schedule.placements
+    if ours != theirs:
+        differing = sorted(
+            t for t in ours.keys() | theirs.keys() if ours.get(t) != theirs.get(t)
+        )
+        raise ScheduleError(
+            "explain pass diverged from the committed schedule at tasks "
+            f"{differing!r}"
+        )
+    if explained.schedule.edge_comm_times != committed.schedule.edge_comm_times:
+        raise ScheduleError(
+            "explain pass diverged from the committed schedule in its "
+            "inbound transfer times"
+        )

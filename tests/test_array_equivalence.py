@@ -70,7 +70,8 @@ from repro.schedulers import (
     prasanna,
     task_parallel,
 )
-from repro.schedulers.context import SchedulingContext
+from repro.schedulers.context import ExternalInput, SchedulingContext
+from repro.schedulers.costcache import CostCache
 from repro.schedulers.locbs import LocbsOptions, locbs_schedule
 from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
@@ -563,9 +564,13 @@ def _schedule_rows(schedule):
 
 def _reference_locbs(
     graph, cluster, allocation, options=LocbsOptions(), context=None,
-    tracer=None, cost_cache=None, provenance=None,
+    tracer=None, cost_cache=None, provenance=None, base=None,
 ):
-    """``locbs_schedule`` signature, served by the frozen reference scan."""
+    """``locbs_schedule`` signature, served by the frozen reference scan.
+
+    *base* is ignored: the reference arm stays cold, so the differential
+    compares prefix reuse against full scans.
+    """
     return locbs_schedule_reference(
         graph, cluster, allocation, options, context=context, tracer=tracer
     )
@@ -688,6 +693,138 @@ class TestTightGraphFuzz:
             eager = tl.release_times(after)
             assert list(tl.release_times_after(after)) == eager
             assert tl.release_count_after(after) == len(eager)
+
+
+# -- prefix reuse vs cold passes ----------------------------------------------
+#
+# A look-ahead pass copies its base pass's placements while the pops agree
+# on task and width. Each property below pairs a base allocation with one
+# task or edge growth and demands the reused pass equal a cold pass under
+# the grown allocation: placements, transfer times and pseudo-edges.
+
+
+def _assert_same_pass(reused, cold):
+    assert _schedule_rows(reused.schedule) == _schedule_rows(cold.schedule)
+    assert list(reused.schedule) == list(cold.schedule)  # same pop order
+    assert reused.schedule.edge_comm_times == cold.schedule.edge_comm_times
+    assert reused.sdag.pseudo_edges() == cold.sdag.pseudo_edges()
+
+
+@st.composite
+def _reuse_case(draw):
+    """A tight graph, a machine, a base allocation and one growth of it."""
+    graph = draw(_tight_graph())
+    procs = draw(st.sampled_from([1, 2, 5]))
+    tasks = list(graph.tasks())
+    alloc = {t: draw(st.integers(min_value=1, max_value=procs)) for t in tasks}
+    grown = dict(alloc)
+    edges = list(graph.edges())
+    if edges and draw(st.booleans()):
+        LocMpsScheduler()._grow_edge(draw(st.sampled_from(edges)), grown, procs)
+    else:
+        t = draw(st.sampled_from(tasks))
+        grown[t] = min(procs, grown[t] + 1)
+    context = None
+    if draw(st.booleans()):
+        ready = {
+            p: draw(st.sampled_from([0.0, 0.5, 2.0])) for p in range(procs)
+        }
+        inputs = {}
+        for t in tasks:
+            if draw(st.booleans()):
+                width = draw(st.integers(min_value=1, max_value=procs))
+                inputs[t] = [
+                    ExternalInput(
+                        ready_time=draw(st.sampled_from([0.0, 1.0, 3.0])),
+                        processors=tuple(range(width)),
+                        volume=draw(_volumes),
+                        label=f"x-{t}",
+                    )
+                ]
+        context = SchedulingContext(processor_ready=ready, external_inputs=inputs)
+    return graph, procs, alloc, grown, context
+
+
+class TestPrefixReuseDifferential:
+    @given(
+        case=_reuse_case(),
+        backfill=st.booleans(),
+        overlap=st.booleans(),
+        transfer_limit=st.sampled_from([None, 1]),
+    )
+    @fuzz_settings
+    def test_reused_pass_equals_cold_pass(
+        self, case, backfill, overlap, transfer_limit
+    ):
+        graph, procs, alloc, grown, context = case
+        cluster = Cluster(
+            num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        opts = LocbsOptions(backfill=backfill)
+        # base and reused pass share one cache, as in the look-ahead; a
+        # one-entry transfer memo is cleared on nearly every lookup
+        cache = CostCache(cluster, transfer_limit=transfer_limit)
+        base = locbs_schedule(
+            graph, cluster, alloc, opts, context=context, cost_cache=cache
+        )
+        reused = locbs_schedule(
+            graph, cluster, grown, opts, context=context, cost_cache=cache,
+            base=base,
+        )
+        cold = locbs_schedule(graph, cluster, grown, opts, context=context)
+        _assert_same_pass(reused, cold)
+        assert 0 <= reused.placements_reused <= graph.num_tasks
+        if grown == alloc:
+            assert reused.placements_reused == graph.num_tasks
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_identical_allocation_reuses_every_placement(self, workload):
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        alloc = {t: 1 + (i % 3) for i, t in enumerate(graph.tasks())}
+        base = locbs_schedule(graph, cluster, alloc)
+        again = locbs_schedule(graph, cluster, alloc, base=base)
+        assert again.placements_reused == graph.num_tasks
+        _assert_same_pass(again, base)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_changed_first_pop_reuses_nothing(self, workload):
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        alloc = {t: 1 for t in graph.tasks()}
+        base = locbs_schedule(graph, cluster, alloc)
+        grown = dict(alloc)
+        grown[next(iter(base.schedule)).name] += 1
+        reused = locbs_schedule(graph, cluster, grown, base=base)
+        assert reused.placements_reused == 0
+        _assert_same_pass(reused, locbs_schedule(graph, cluster, grown))
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_every_lookahead_pass_equals_a_cold_pass(
+        self, workload, backfill, monkeypatch
+    ):
+        """Each base-fed pass of a real LoC-MPS walk, re-run cold."""
+        calls = []
+
+        def recording(graph, cluster, allocation, options, **kwargs):
+            result = locbs_schedule(graph, cluster, allocation, options, **kwargs)
+            if kwargs.get("base") is not None:
+                # the walk mutates its allocation dict after the call
+                calls.append((dict(allocation), options, result))
+            return result
+
+        monkeypatch.setattr(locmps, "locbs_schedule", recording)
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        LocMpsScheduler(look_ahead_depth=4, backfill=backfill).schedule(
+            graph, cluster
+        )
+        assert any(result.placements_reused for _, _, result in calls)
+        for alloc, options, result in calls:
+            _assert_same_pass(
+                result, locbs_schedule(graph, cluster, alloc, options)
+            )
 
 
 class TestNoBackfillEpsMerge:

@@ -1,5 +1,6 @@
 """Schedule explainability: provenance, attribution, metrics, dashboard."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro import Cluster, LocMpsScheduler, Tracer
 from repro.cluster import MYRINET_2GBPS
+from repro.exceptions import ScheduleError
 from repro.obs import (
     MetricsRegistry,
     read_jsonl,
@@ -210,6 +212,58 @@ class TestExplainScheduler:
             # strict-JSON serializable (no bare Infinity)
             json.loads(json.dumps(e.to_dict(), allow_nan=False))
             PlacementDecision.from_dict(e.fields)
+
+
+def _diverging_explain_pass(monkeypatch, corrupt):
+    """Make the explaining (provenance) pass return a corrupted schedule."""
+    original = LocMpsScheduler._schedule
+
+    def patched(self, graph, cluster, alloc, provenance=None, base=None):
+        result = original(self, graph, cluster, alloc, provenance, base)
+        if provenance is not None:
+            corrupt(result.schedule)
+        return result
+
+    monkeypatch.setattr(LocMpsScheduler, "_schedule", patched)
+
+
+class TestExplainDivergenceCheck:
+    """The cold explaining pass must match the committed schedule exactly."""
+
+    def test_moved_placement_with_same_makespan_raises(self, monkeypatch):
+        def corrupt(schedule):
+            # swap one processor of a narrow task: same times, so the
+            # makespan (all the old check compared) is unchanged
+            placed = next(
+                p for p in schedule
+                if p.width < schedule.cluster.num_processors
+            )
+            spare = next(
+                p for p in schedule.cluster.processors
+                if p not in placed.processors
+            )
+            procs = (spare,) + placed.processors[1:]
+            schedule._placements[placed.name] = dataclasses.replace(
+                placed, processors=tuple(sorted(procs))
+            )
+
+        _diverging_explain_pass(monkeypatch, corrupt)
+        with pytest.raises(ScheduleError, match="diverged"):
+            explained_schedule()
+
+    def test_changed_transfer_time_raises(self, monkeypatch):
+        def corrupt(schedule):
+            key = next(iter(schedule.edge_comm_times))
+            schedule.edge_comm_times[key] += 1.0
+
+        _diverging_explain_pass(monkeypatch, corrupt)
+        with pytest.raises(ScheduleError, match="transfer times"):
+            explained_schedule()
+
+    def test_identical_pass_is_accepted(self, monkeypatch):
+        _diverging_explain_pass(monkeypatch, lambda schedule: None)
+        _, _, sched, schedule = explained_schedule()
+        assert len(sched.provenance) == len(schedule)
 
 
 class TestAttribution:

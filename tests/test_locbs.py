@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Cluster, TaskGraph, validate_schedule
-from repro.exceptions import AllocationError
-from repro.schedulers import LocbsOptions, locbs_schedule
+from repro.exceptions import AllocationError, ScheduleError
+from repro.schedulers import LocbsOptions, ProvenanceRecorder, locbs_schedule
 from repro.speedup import AmdahlSpeedup, ExecutionProfile, LinearSpeedup
 
 from tests.helpers import build_fig1_graph, build_random_graph
@@ -190,3 +190,38 @@ class TestValidity:
         # bounds it from below (CP is the longest chain of the schedule)
         length, _ = res.sdag.critical_path()
         assert length <= res.makespan + 1e-6
+
+
+class TestBaseGuard:
+    """``base`` must come from a pass over the same graph and cluster."""
+
+    def _base(self):
+        g = build_random_graph(8, 2)
+        cl = Cluster(num_processors=4)
+        alloc = {t: 1 for t in g.tasks()}
+        return g, cl, alloc, locbs_schedule(g, cl, alloc)
+
+    def test_same_graph_and_cluster_accepted(self):
+        g, cl, alloc, base = self._base()
+        res = locbs_schedule(g, cl, alloc, base=base)
+        assert res.placements_reused == g.num_tasks
+        assert base.placements_reused == 0
+
+    def test_other_graph_rejected(self):
+        g, cl, alloc, base = self._base()
+        twin = build_random_graph(8, 2)  # equal content, another object
+        with pytest.raises(ScheduleError, match="different graph"):
+            locbs_schedule(twin, cl, alloc, base=base)
+
+    def test_other_cluster_rejected(self):
+        g, cl, alloc, base = self._base()
+        twin = Cluster(num_processors=4)  # equal content, another object
+        with pytest.raises(ScheduleError, match="different cluster"):
+            locbs_schedule(g, twin, alloc, base=base)
+
+    def test_provenance_needs_a_cold_pass(self):
+        g, cl, alloc, base = self._base()
+        with pytest.raises(ScheduleError, match="cold pass"):
+            locbs_schedule(
+                g, cl, alloc, base=base, provenance=ProvenanceRecorder()
+            )

@@ -298,6 +298,27 @@ class TestMemoTelemetry:
         # eviction only costs recomputation; the search is unchanged
         assert limited.makespan == plain.makespan
 
+    def test_prefix_reuse_counters_match_the_trace(self):
+        tr = Tracer()
+        g, _, sched, _ = traced_schedule(tr)
+        stats = sched.memo_stats
+        reused = [e.fields["count"] for e in tr.events if e.name == "prefix_reused"]
+        # one event per LoCBS pass, i.e. per memo miss
+        assert len(reused) == stats["misses"]
+        assert sum(reused) == stats["placements_reused"] > 0
+        assert stats["placements_scanned"] > 0
+        assert (
+            stats["placements_reused"] + stats["placements_scanned"]
+            == stats["misses"] * g.num_tasks
+        )
+        # every placement, reused or scanned, is still announced
+        assert tr.counters.get("task_placed") == stats["misses"] * g.num_tasks
+
+    def test_prefix_reuse_counters_untraced_equal_traced(self):
+        _, _, plain, _ = traced_schedule(None)
+        _, _, traced, _ = traced_schedule(Tracer())
+        assert plain.memo_stats == traced.memo_stats
+
     def test_memo_limit_validation(self):
         with pytest.raises(ValueError):
             LocMpsScheduler(memo_limit=0)
