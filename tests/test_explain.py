@@ -1,8 +1,10 @@
 """Schedule explainability: provenance, attribution, metrics, dashboard."""
 
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.obs import (
 )
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.perf.hotpath import wide_dag
+from repro.workloads.strassen import strassen_graph
 from repro.schedule import attribute_makespan, extract_critical_chain
 from repro.schedulers import (
     CandidateProbe,
@@ -212,6 +215,59 @@ class TestExplainScheduler:
             # strict-JSON serializable (no bare Infinity)
             json.loads(json.dumps(e.to_dict(), allow_nan=False))
             PlacementDecision.from_dict(e.fields)
+
+
+#: every explained decision of a fixed matrix of runs, digested; pins the
+#: losing probes too, which the explain pass's divergence check (winner
+#: rows only) cannot see
+EXPLAIN_GOLDEN_PATH = Path(__file__).parent / "golden" / "explain_golden.json"
+
+_EXPLAIN_GRAPHS = {
+    "wide-synthetic": lambda: wide_dag(28, seed=11),
+    "strassen": lambda: strassen_graph(256),
+}
+
+
+def _explain_case_ids():
+    for name in sorted(_EXPLAIN_GRAPHS):
+        for backfill in (True, False):
+            for overlap in (True, False):
+                yield f"{name}/backfill={backfill}/overlap={overlap}"
+
+
+def _explain_digest(case_id):
+    name, bf, ov = case_id.split("/")
+    cluster = Cluster(
+        num_processors=8,
+        bandwidth=MYRINET_2GBPS,
+        overlap=ov == "overlap=True",
+    )
+    sched = LocMpsScheduler(
+        look_ahead_depth=4, explain=True, backfill=bf == "backfill=True"
+    )
+    sched.schedule(_EXPLAIN_GRAPHS[name](), cluster)
+    decisions = [d.to_dict() for d in sched.provenance.decisions]
+    blob = json.dumps(
+        decisions, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode()
+    return {
+        "decisions": len(decisions),
+        "candidates": sum(len(d["candidates"]) for d in decisions),
+        "digest": hashlib.sha1(blob).hexdigest(),
+    }
+
+
+class TestExplainGolden:
+    """Every ``CandidateProbe`` of an explained run, against a fixture.
+
+    Regenerate deliberately (only when an intentional change to the
+    recorded scan lands) with ``PYTHONPATH=src python -m tests.test_explain``.
+    """
+
+    @pytest.mark.parametrize("case_id", list(_explain_case_ids()))
+    def test_decisions_match_the_fixture(self, case_id):
+        golden = json.loads(EXPLAIN_GOLDEN_PATH.read_text())
+        assert _explain_digest(case_id) == golden[case_id]
 
 
 def _diverging_explain_pass(monkeypatch, corrupt):
@@ -520,3 +576,14 @@ class TestCliIntegration:
         # locmps explains; the TASK scheduler has no explain support and
         # is silently skipped
         assert len(decisions) == g.num_tasks
+
+
+if __name__ == "__main__":
+    EXPLAIN_GOLDEN_PATH.write_text(
+        json.dumps(
+            {c: _explain_digest(c) for c in _explain_case_ids()},
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
