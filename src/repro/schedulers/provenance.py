@@ -18,10 +18,13 @@ feed three consumers:
 * the HTML dashboard (``python -m repro.obs dashboard``), which renders
   the per-task drill-down from the trace JSONL.
 
-Recording is strictly opt-in: the hot hole-scan path carries a single
-``provenance is not None`` test per placement, so ``explain=False`` (the
-default) leaves schedules and wall-clock untouched — the golden
-fingerprint suite enforces the former.
+Recording observes the production hole scan itself: with a recorder
+attached, LoCBS hands the scan a per-probe sink and turns off its early
+break, and every probe the scan makes reaches the record. Recording is
+strictly opt-in: without a recorder the scan carries only a
+``sink is not None`` check per probe, so ``explain=False`` (the default)
+leaves schedules and wall-clock untouched — the golden fingerprint suite
+enforces the former.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
 * the LoCBS hole scan (``tau + et`` ladder break, dominance memo, lazy
   release ladder) runs against the frozen reference scan over the full
   registry and on adversarially tight fuzzed graphs (zero-volume parents,
-  sub-EPS execution times, single-processor machines), and against its
-  own traced scalar loop, asserting bit-identical schedules.
+  sub-EPS execution times, single-processor machines), asserting
+  bit-identical schedules; traced runs must reproduce the untraced probe
+  counters and the reference scan's placement events.
 """
 
 from __future__ import annotations
@@ -600,31 +601,76 @@ class TestRegistryScanDifferential:
         assert fast.edge_comm_times == ref.edge_comm_times
 
 
-class TestBatchScanMatchesScalarScan:
-    """The untraced batch scan vs the traced scalar loop of ``_place_task``."""
+class TestTracedScanMatchesUntraced:
+    """A traced run executes the same hole scan as an untraced one."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("overlap", [True, False])
-    def test_same_schedule_and_same_probe_ladder(self, workload, overlap):
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_same_schedule_and_same_probe_counters(
+        self, workload, overlap, backfill
+    ):
         graph = WORKLOADS[workload]()
         cluster = Cluster(
             num_processors=8, bandwidth=MYRINET_2GBPS, overlap=overlap
         )
-        plain_sched = LocMpsScheduler(look_ahead_depth=4)
+        plain_sched = LocMpsScheduler(look_ahead_depth=4, backfill=backfill)
         plain = plain_sched.schedule(graph, cluster)
-        traced_sched = LocMpsScheduler(look_ahead_depth=4, tracer=Tracer())
+        traced_sched = LocMpsScheduler(
+            look_ahead_depth=4, backfill=backfill, tracer=Tracer()
+        )
         traced = traced_sched.schedule(graph, cluster)
         assert _schedule_rows(plain) == _schedule_rows(traced)
         assert plain.edge_comm_times == traced.edge_comm_times
-        # both arms enter the ladder until the same ``tau + et`` break; the
-        # batch arm only splits the entered probes into ranked and
-        # dominance-memo hits
         p, t = plain_sched.cost_cache_stats, traced_sched.cost_cache_stats
-        assert t["probes_dominance_pruned"] == 0
-        assert t["probes_considered"] == (
-            p["probes_considered"] + p["probes_dominance_pruned"]
+        for key in (
+            "probes_considered",
+            "probes_bound_pruned",
+            "probes_dominance_pruned",
+        ):
+            assert t[key] == p[key], key
+
+
+#: the per-placement trace events of the hole scan's winner
+_SCAN_EVENTS = (
+    "backfill_hit",
+    "locality_hit",
+    "locality_miss",
+    "redistribution_costed",
+)
+
+
+def _scan_events(tracer):
+    return [
+        (e.name, sorted(e.fields.items()))
+        for e in tracer.events
+        if e.name in _SCAN_EVENTS
+    ]
+
+
+class TestTracedEventsMatchReference:
+    """Traced LoCBS emits the frozen reference scan's placement events."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_same_scan_event_sequence(self, workload, overlap, backfill):
+        graph = WORKLOADS[workload]()
+        cluster = Cluster(
+            num_processors=8, bandwidth=MYRINET_2GBPS, overlap=overlap
         )
-        assert t["probes_bound_pruned"] == p["probes_bound_pruned"]
+        options = LocbsOptions(backfill=backfill)
+        alloc = LocMpsScheduler(look_ahead_depth=4, backfill=backfill).schedule(
+            graph, cluster
+        ).allocation()
+        fast_tr, ref_tr = Tracer(), Tracer()
+        locbs_schedule(graph, cluster, alloc, options, tracer=fast_tr)
+        locbs_schedule_reference(graph, cluster, alloc, options, tracer=ref_tr)
+        fast, ref = _scan_events(fast_tr), _scan_events(ref_tr)
+        assert fast and fast == ref
+        if not backfill:
+            # every no-backfill horizon is infinite
+            assert all(name != "backfill_hit" for name, _ in fast)
 
 
 # Adversarially tight inputs: ``et = 0`` exactly is rejected by profile
