@@ -275,19 +275,17 @@ def _render_tiles(
                 hint,
             )
         )
-    considered = bound = dom = 0
+    considered = pruned = 0
     for ev in events:
         if ev.name == ev_types.PRUNE_STATS:
             considered += int(ev.fields.get("considered", 0))
-            bound += int(ev.fields.get("bound_pruned", 0))
-            dom += int(ev.fields.get("dominance_pruned", 0))
-    pruned = bound + dom
+            pruned += int(ev.fields.get("bound_pruned", 0))
     if considered or pruned:
         tiles.append(
             _tile(
                 "Probe prune rate",
                 f"{pruned / (considered + pruned):.1%}",
-                f"{considered} considered, {bound} bound, {dom} dominance",
+                f"{considered} considered, {pruned} break-pruned",
             )
         )
     online_latencies = []

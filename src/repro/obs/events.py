@@ -33,9 +33,9 @@ REDISTRIBUTION_COSTED = "redistribution_costed"
 #: full decision provenance (emitted only when ``explain`` is on; the
 #: payload is a serialized :class:`repro.schedulers.provenance.PlacementDecision`)
 PLACEMENT_DECISION = "placement_decision"
-#: per-call probe-ladder pruning deltas (``considered``, ``bound_pruned``,
-#: ``dominance_pruned``) — how much of the hole scan the ``tau + et`` break
-#: and the dominance memo closed without probing
+#: per-call probe-ladder deltas (``considered``, ``bound_pruned``) — how
+#: many candidate start times the hole scan probed, and how many the
+#: ``tau + et`` break closed without probing
 PRUNE_STATS = "prune_stats"
 #: per-pass count of leading placements copied from the pass's base
 #: (``count``; 0 for a cold pass) instead of hole-scanned

@@ -447,8 +447,8 @@ def registry_from_events(
       plus ``cache_warm_starts_total{adopted=...}`` for the warm-start
       profitability gate;
     * ``prune_probes_total{kind=...}`` — probe-ladder candidates by
-      outcome (``considered`` / ``bound_pruned`` / ``dominance_pruned``)
-      from the per-call ``prune_stats`` deltas;
+      outcome (``considered`` / ``bound_pruned``) from the per-call
+      ``prune_stats`` deltas;
     * ``online_event_seconds{kind=...}`` / ``online_queue_depth`` /
       ``online_jobs_total{op=...}`` — per-event handler latency,
       deferred-queue depth, and job lifecycle counts from the online
@@ -503,7 +503,7 @@ def registry_from_events(
                 help="graph-delta warm-start attempts by outcome",
             )
         elif ev.name == "prune_stats":
-            for kind in ("considered", "bound_pruned", "dominance_pruned"):
+            for kind in ("considered", "bound_pruned"):
                 count = int(ev.fields.get(kind, 0))
                 if count:
                     reg.inc(

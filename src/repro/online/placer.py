@@ -24,7 +24,7 @@ its per-event cost grows with history (it re-prices every historical
 hole scan), which is precisely what cold-starting LoCBS per event costs.
 
 Both arms report the probe-ladder counters
-(``probes_considered`` / ``bound`` / ``dominance`` deltas) per placement,
+(``probes_considered`` / ``probes_bound_pruned`` deltas) per placement,
 so CI can assert the incremental arm priced *strictly fewer* candidate
 holes than the cold rebuild.
 """
@@ -55,16 +55,11 @@ class PlacementResult:
     latency_s: float  #: wall-clock seconds this placement took
     probes_considered: int  #: hole-ladder candidates priced for this call
     probes_bound_pruned: int
-    probes_dominance_pruned: int
 
 
-def _probe_snapshot(cache: CostCache) -> Tuple[int, int, int]:
+def _probe_snapshot(cache: CostCache) -> Tuple[int, int]:
     s = cache.stats
-    return (
-        s["probes_considered"],
-        s["probes_bound_pruned"],
-        s["probes_dominance_pruned"],
-    )
+    return s["probes_considered"], s["probes_bound_pruned"]
 
 
 class IncrementalPlacer:
@@ -108,7 +103,6 @@ class IncrementalPlacer:
             latency_s=latency,
             probes_considered=after[0] - before[0],
             probes_bound_pruned=after[1] - before[1],
-            probes_dominance_pruned=after[2] - before[2],
         )
 
     def release(self, graph: TaskGraph) -> None:
@@ -178,5 +172,4 @@ class ColdRebuildPlacer:
             latency_s=latency,
             probes_considered=probes[0],
             probes_bound_pruned=probes[1],
-            probes_dominance_pruned=probes[2],
         )

@@ -278,15 +278,11 @@ def run_suite(
     # arm keeps no prune counters).
     opt_counters = record["optimized"]["counters"]  # type: ignore[index]
     considered = int(opt_counters.get("cost_cache_probes_considered", 0))
-    bound = int(opt_counters.get("cost_cache_probes_bound_pruned", 0))
-    dom = int(opt_counters.get("cost_cache_probes_dominance_pruned", 0))
-    pruned = bound + dom
+    pruned = int(opt_counters.get("cost_cache_probes_bound_pruned", 0))
     ladder = considered + pruned
     record["prune"] = {
         "probes_considered": considered,
         "probes_pruned": pruned,
-        "bound_pruned": bound,
-        "dominance_pruned": dom,
         "prune_rate": pruned / ladder if ladder else 0.0,
     }
     if include_reference:

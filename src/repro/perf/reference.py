@@ -23,9 +23,9 @@ loops), re-exported here as callable oracles — so the baseline arm stays
 pinned to the pre-numpy implementations and never silently inherits the
 array-native speedups.
 
-The reference scan carries no dominance memo and no lazy candidate
-ladder — every candidate start time is materialized and probed under the
-seed's ``tau + et`` break only. The differential battery asserts the
+The reference scan carries no lazy candidate ladder — every candidate
+start time is materialized and probed under the seed's ``tau + et``
+break only. The differential battery asserts the
 production scan produces bit-identical schedules to this arm, which is
 what makes its shortcuts *provably* schedule-preserving rather than just
 plausibly so.

@@ -25,7 +25,7 @@ Nothing here is exported through the public API; scalar oracles exist only
 for differential testing and the ``BENCH_hotpath.json`` reference arm.
 These oracles stay frozen on purpose: consumers built on them (the
 reference scheduler arm, the equivalence batteries) must never inherit the
-production scan's shortcuts (dominance memo, lazy ladder), or the
+production scan's shortcuts (the lazy ladder), or the
 differential tests would be comparing that scan against itself.
 """
 

@@ -30,17 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,17 +73,6 @@ _PSEUDO_TOL = 1e-6
 
 #: one probe as the scan saw it: (tau, procs, start, exec_start, finish, tag)
 _Probe = Tuple[float, Tuple[int, ...], float, float, float, str]
-
-
-class TransferTimer(Protocol):
-    """What the placement hot path needs from a redistribution model."""
-
-    def transfer_time(
-        self,
-        src_procs: Tuple[int, ...],
-        dst_procs: Tuple[int, ...],
-        volume: float,
-    ) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -268,11 +247,7 @@ def locbs_schedule(
         # ``prune_stats`` event emitted at the end carries this call's
         # deltas, not the run totals.
         _ps = cache.stats
-        probes_base = (
-            _ps["probes_considered"],
-            _ps["probes_bound_pruned"],
-            _ps["probes_dominance_pruned"],
-        )
+        probes_base = (_ps["probes_considered"], _ps["probes_bound_pruned"])
 
     # Priorities (Algorithm 2, step 4): bottom level under the current
     # allocation plus the heaviest inbound edge estimate. Both are fixed
@@ -375,7 +350,6 @@ def locbs_schedule(
             "prune_stats",
             considered=_ps["probes_considered"] - probes_base[0],
             bound_pruned=_ps["probes_bound_pruned"] - probes_base[1],
-            dominance_pruned=_ps["probes_dominance_pruned"] - probes_base[2],
         )
         tracer.event("prefix_reused", count=reused)
     sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
@@ -495,7 +469,7 @@ def _place_task(
     graph: TaskGraph,
     cluster: Cluster,
     alloc: Mapping[str, int],
-    model: "TransferTimer",
+    cache: CostCache,
     timeline: ProcessorTimeline,
     schedule: Schedule,
     options: LocbsOptions,
@@ -506,9 +480,8 @@ def _place_task(
     """Find the minimum-finish-time hole for *tp* (Algorithm 2, steps 5-16).
 
     *parents* is *tp*'s predecessor list (the caller holds it cached in the
-    graph invariants). *model* is anything with a
-    ``transfer_time(src, dst, volume)`` method; a :class:`CostCache` also
-    receives the probe counters in its ``stats``.
+    graph invariants). *cache* prices the transfers and receives the
+    probe counters in its ``stats``.
 
     Builds the parent info and the candidate ladder, runs the one hole
     scan (:func:`_scan_batch`) and turns its winner into the placement.
@@ -553,8 +526,6 @@ def _place_task(
                     locality[p] = locality.get(p, 0.0) + share
 
     recording = provenance is not None
-    stats: Optional[Dict[str, int]] = getattr(model, "stats", None)
-
     candidates: Iterable[float]
     eats: Optional[List[Tuple[float, int]]] = None
     if options.backfill:
@@ -569,61 +540,41 @@ def _place_task(
             (ready_base,), timeline.release_times_after(ready_base)
         )
     else:
+        # the data-ready time plus every later earliest-available time:
+        # the ladder the reference scan probes
         eats = sorted(
             (timeline.earliest_available(p), p) for p in cluster.processors
         )
-        ladder = sorted({e for e, _ in eats})
-        raw = sorted({ready_base} | {t for t in ladder if t > ready_base + EPS})
-        if recording:
-            candidates = raw
-        else:
-            # EPS-aware merge of near-equal start times, applied only where
-            # provably outcome-identical: the eligible set at tau is
-            # ``{p: eat_p <= tau + EPS}`` (horizons are all infinite here),
-            # so a candidate within EPS of the last kept one with no eat
-            # inside ``(kept + EPS, t + EPS]`` exposes the *identical* set
-            # -> identical chosen subset -> a finish nondecreasing in tau.
-            # It can never beat the kept probe (best updates require a
-            # strict EPS improvement), so dropping it preserves the
-            # schedule. Skipped while recording: provenance pins the full
-            # probe list.
-            merged = [raw[0]]
-            kept = raw[0]
-            kept_hi = bisect_right(ladder, kept + EPS)
-            for t in raw[1:]:
-                hi = bisect_right(ladder, t + EPS)
-                if t - kept <= EPS and hi == kept_hi:
-                    continue
-                merged.append(t)
-                kept, kept_hi = t, hi
-            candidates = merged
+        candidates = sorted(
+            {ready_base} | {e for e, _ in eats if e > ready_base + EPS}
+        )
         ladder_total = len(candidates)
 
     # Raw (tau, procs, start, exec_start, finish, tag) tuples from the
     # scan, frozen into CandidateProbes below once the winner (and hence
     # every loser's margin) is known.
     probes: Optional[List[_Probe]] = [] if recording else None
-    best, holes, considered, dom_pruned, pruned = _scan_batch(
-        candidates, np_t, et, parent_info, locality, model, timeline,
+    best, holes, considered, pruned = _scan_batch(
+        candidates, np_t, et, parent_info, locality, cache, timeline,
         cluster.overlap, eats, probes,
     )
     if best is None:
         # Unreachable: the final candidate (the chart horizon) always has all
         # processors free forever. Guard anyway.
         raise ScheduleError(f"no feasible slot found for task {tp!r}")
-    if stats is not None and not recording:
+    if not recording:
         # Hot-path telemetry only: the recording (explain) re-run probes
         # past the break on purpose and must not skew the prune rates.
+        stats = cache.stats
         stats["probes_considered"] += considered
-        stats["probes_dominance_pruned"] += dom_pruned
-        stats["probes_bound_pruned"] += ladder_total - considered - dom_pruned
+        stats["probes_bound_pruned"] += ladder_total - considered
 
     finish, start, exec_start, chosen = best
     placement = PlacedTask(
         name=tp, start=start, exec_start=exec_start, finish=finish, processors=chosen
     )
     comm_times = {
-        (u, tp): model.transfer_time(procs, chosen, volume)
+        (u, tp): cache.transfer_time(procs, chosen, volume)
         for u, procs, _, volume in parent_info
     }
     est_tp = max(
@@ -645,7 +596,7 @@ def _place_task(
                 outcome, margin = tag, math.inf
             comm = (
                 sum(
-                    model.transfer_time(pp, procs, vol)
+                    cache.transfer_time(pp, procs, vol)
                     for _, pp, _, vol in parent_info
                 )
                 if procs
@@ -698,7 +649,7 @@ def _scan_batch(
     et: float,
     parent_info: Sequence[Tuple[str, Tuple[int, ...], float, float]],
     locality: Mapping[int, float],
-    model: "TransferTimer",
+    cache: CostCache,
     timeline: ProcessorTimeline,
     overlap: bool,
     eats: Optional[Sequence[Tuple[float, int]]] = None,
@@ -706,7 +657,6 @@ def _scan_batch(
 ) -> Tuple[
     Optional[Tuple[float, float, float, Tuple[int, ...]]],
     Sequence[Tuple[int, float]],
-    int,
     int,
     int,
 ]:
@@ -742,13 +692,6 @@ def _scan_batch(
     break stops the scan at a probe no later start could win, and
     infeasible locality picks run the scalar roomy retry verbatim.
 
-    Dominance memoization: :func:`_pick_by_locality` is a pure function of
-    the idle ``(proc, horizon)`` pair set (its ranking key is total and
-    input-order independent), so picks on the fallback path are memoized
-    by that set's signature. A later tau exposing an already-seen set
-    whose memoized subset times out feasibly at ``finish >= best - EPS``
-    concludes without any re-ranking — counted as dominance-pruned.
-
     *eats* switches the scan to the no-backfill ablation: the sorted
     ``(earliest available time, proc)`` pairs of every processor. A
     processor is then free at ``tau`` only if its earliest-available time
@@ -763,12 +706,12 @@ def _scan_batch(
     the probes past it are scanned anyway and counted as pruned, so the
     losers carry true margins.
 
-    Returns ``(best, holes, considered, dominance_pruned, pruned)``:
-    *holes* holds the ``(proc, horizon)`` pairs of the winning probe
-    (covering the chosen processors), *pruned* the probes scanned past the
-    break (always 0 without a sink); the caller derives break-pruned
-    probes from the ladder length (lazily generated candidates are never
-    materialized here).
+    Returns ``(best, holes, considered, pruned)``: *holes* holds the
+    ``(proc, horizon)`` pairs of the winning probe (covering the chosen
+    processors), *considered* the probes the scan entered, *pruned* the
+    probes scanned past the break (always 0 without a sink); the caller
+    derives break-pruned probes from the ladder length (lazily generated
+    candidates are never materialized here).
     """
     P = len(timeline.processors)
     row_of = timeline._row
@@ -820,13 +763,10 @@ def _scan_batch(
 
     best: Optional[Tuple[float, float, float, Tuple[int, ...]]] = None
     holes: Sequence[Tuple[int, float]] = ()
-    entered = 0
-    dom_pruned = 0
+    considered = 0
     pruned = 0
     #: chosen subset -> data-ready max (overlap) / comm sum (non-overlap)
     timing_memo: Dict[Tuple[int, ...], float] = {}
-    #: idle-pair-set signature -> memoized locality pick (fallback path)
-    pick_memo: Dict[FrozenSet[Tuple[int, float]], Tuple[int, ...]] = {}
     #: keep walking the locality groups only while the walk keeps covering
     #: the allocation — it succeeds at uncontended probes (parents just
     #: released their processors) and reliably fails at contended ones,
@@ -839,8 +779,7 @@ def _scan_batch(
             if sink is None:
                 break
             pruned += 1
-        entered += 1
-        sig_hit = False
+        considered += 1
         tol = tau + EPS
         if counts_ok and not try_groups:
             # Global busy-count identity: two binary searches skip start
@@ -877,7 +816,7 @@ def _scan_batch(
                 else:
                     # the cut falls inside this group: ties break on
                     # (-horizon, proc), exactly the scalar key's tail
-                    gf.sort(key=_HP_KEY)
+                    gf.sort(key=_hp_key)
                     chosen_ph.extend(gf[:need])
                     need = 0
                     break
@@ -894,21 +833,14 @@ def _scan_batch(
                 if sink is not None:
                     sink.append(_too_few_free(tau))
                 continue
-            sig = frozenset(free)
-            chosen = pick_memo.get(sig)
-            if chosen is None:
-                chosen = pick_memo[sig] = _pick_by_locality(
-                    free, np_t, locality
-                )
-            else:
-                sig_hit = True
+            chosen = _pick_by_locality(free, np_t, locality)
         # -- trial timing (memoized per subset; scalar float ops) -------------
         known = timing_memo.get(chosen)
         if overlap:
             if known is None:
                 known = -math.inf
                 for _, pprocs, ft, volume in parent_info:
-                    arrival = ft + model.transfer_time(pprocs, chosen, volume)
+                    arrival = ft + cache.transfer_time(pprocs, chosen, volume)
                     if arrival > known:
                         known = arrival
                 timing_memo[chosen] = known
@@ -921,7 +853,7 @@ def _scan_batch(
             if known is None:
                 known = 0.0
                 for _, pprocs, _, volume in parent_info:
-                    known += model.transfer_time(pprocs, chosen, volume)
+                    known += cache.transfer_time(pprocs, chosen, volume)
                 timing_memo[chosen] = known
             # every candidate is >= ready_base = max parent finish, so
             # _time_placement's ready-maximum always resolves to tau itself
@@ -941,10 +873,7 @@ def _scan_batch(
         else:
             fits = timeline.is_free(chosen, start, finish)
         if not fits:
-            # scalar roomy retry, verbatim on this probe's idle pairs (a
-            # retry re-ranks a different subset, so it is real work, not a
-            # dominance conclusion)
-            sig_hit = False
+            # scalar roomy retry, verbatim on this probe's idle pairs
             if free is None:
                 free = classify(tau)
             roomy = [ph for ph in free if ph[1] >= finish - EPS]
@@ -956,7 +885,7 @@ def _scan_batch(
                 continue
             chosen = _pick_by_locality(roomy, np_t, locality)
             start, exec_start, finish = _time_placement(
-                chosen, tau, et, parent_info, model, overlap
+                chosen, tau, et, parent_info, cache, overlap
             )
             if not timeline.is_free(chosen, start, finish):
                 if sink is not None:
@@ -970,15 +899,9 @@ def _scan_batch(
             if sink is not None:
                 sink.append((tau, chosen, start, exec_start, finish, WON))
             continue
-        if sig_hit:
-            # the whole probe concluded from memoized pick + memoized
-            # timing without improving best: dominated by the earlier
-            # same-signature probe (finish is nondecreasing in tau for a
-            # fixed subset, and best only ever decreases)
-            dom_pruned += 1
         if sink is not None:
             sink.append((tau, chosen, start, exec_start, finish, LOST))
-    return best, holes, entered - dom_pruned, dom_pruned, pruned
+    return best, holes, considered, pruned
 
 
 def _too_few_free(tau: float) -> _Probe:
@@ -989,9 +912,6 @@ def _too_few_free(tau: float) -> _Probe:
 def _hp_key(ph: Tuple[int, float]) -> Tuple[float, int]:
     """``(-horizon, proc)`` — the within-group tie-break of the scalar key."""
     return (-ph[1], ph[0])
-
-
-_HP_KEY = _hp_key
 
 
 def _pick_by_locality(
@@ -1031,7 +951,7 @@ def _time_placement(
     tau: float,
     et: float,
     parent_info: Sequence[Tuple[str, Tuple[int, ...], float, float]],
-    model: "TransferTimer",
+    cache: CostCache,
     overlap: bool,
 ) -> Tuple[float, float, float]:
     """``(start, exec_start, finish)`` of placing the task at hole start *tau*.
@@ -1042,7 +962,7 @@ def _time_placement(
     if overlap:
         data_ready = tau
         for _, procs, ft, volume in parent_info:
-            arrival = ft + model.transfer_time(procs, chosen, volume)
+            arrival = ft + cache.transfer_time(procs, chosen, volume)
             if arrival > data_ready:
                 data_ready = arrival
         exec_start = max(tau, data_ready)
@@ -1050,7 +970,7 @@ def _time_placement(
     comm = 0.0
     ready = tau
     for _, procs, ft, volume in parent_info:
-        comm += model.transfer_time(procs, chosen, volume)
+        comm += cache.transfer_time(procs, chosen, volume)
         if ft > ready:
             ready = ft
     start = max(tau, ready)

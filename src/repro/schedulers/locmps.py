@@ -201,14 +201,9 @@ class LocMpsScheduler(Scheduler):
         #: cumulative cost-cache telemetry across every run() (hits/misses
         #: of the edge-estimate / concrete-transfer / graph memos, plus the
         #: hole-scan probe-ladder pruning counters)
-        self.cost_cache_stats: Dict[str, int] = {
-            "edge_hits": 0, "edge_misses": 0,
-            "transfer_hits": 0, "transfer_misses": 0, "transfer_clears": 0,
-            "graph_hits": 0, "graph_misses": 0,
-            "probes_considered": 0,
-            "probes_bound_pruned": 0,
-            "probes_dominance_pruned": 0,
-        }
+        self.cost_cache_stats: Dict[str, int] = dict.fromkeys(
+            CostCache.STAT_KEYS, 0
+        )
         #: cumulative warm-start telemetry across every run(): seeds
         #: attempted, adopted (beat all-ones), rejected (fell back cold)
         self.warm_start_stats: Dict[str, int] = {

@@ -18,11 +18,11 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
 * the known edge cases — zero-duration tasks, back-to-back spans, empty
   processor sets, single-processor machines, coprime layout sizes whose
   lcm period must never be materialized — are pinned explicitly;
-* the LoCBS hole scan (``tau + et`` ladder break, dominance memo, lazy
-  release ladder) runs against the frozen reference scan over the full
-  registry and on adversarially tight fuzzed graphs (zero-volume parents,
-  sub-EPS execution times, single-processor machines), asserting
-  bit-identical schedules; traced runs must reproduce the untraced probe
+* the LoCBS hole scan (``tau + et`` ladder break, lazy release ladder)
+  runs against the frozen reference scan over the full registry and on
+  adversarially tight fuzzed graphs (zero-volume parents, sub-EPS
+  execution times, single-processor machines), asserting bit-identical
+  schedules; traced runs must reproduce the untraced probe
   counters and the reference scan's placement events.
 """
 
@@ -549,11 +549,10 @@ class TestBlockCyclicEdgeCases:
 
 # -- tight-graph fuzz -----------------------------------------------------------
 #
-# The LoCBS hole scan stops its probe ladder at the first candidate whose
-# ``tau + et`` cannot beat the incumbent finish, and skips re-ranking idle
-# sets it has already seen (dominance memo). Both claim to drop only probes
-# the exhaustive scan could never have won, so the fast scheduler must match
-# the frozen reference scheduler float for float.
+# The LoCBS hole scan generates its release ladder lazily and stops it at
+# the first candidate whose ``tau + et`` cannot beat the incumbent finish.
+# Both claim to skip only probes the reference scan never reaches, so the
+# fast scheduler must match the frozen reference scheduler float for float.
 
 
 def _schedule_rows(schedule):
@@ -586,9 +585,9 @@ class TestRegistryScanDifferential:
         """Every LoCBS caller in the registry, fast scan vs reference scan.
 
         The reference arm rebinds each scheduler module's ``locbs_schedule``
-        to the frozen seed scan (no dominance memo, no lazy ladder, no cost
-        cache). Schedulers that never call LoCBS run twice unchanged, which
-        pins their run-to-run determinism instead.
+        to the frozen seed scan (no lazy ladder, no cost cache). Schedulers
+        that never call LoCBS run twice unchanged, which pins their
+        run-to-run determinism instead.
         """
         graph = WORKLOADS[workload]()
         cluster = _cluster()
@@ -623,11 +622,7 @@ class TestTracedScanMatchesUntraced:
         assert _schedule_rows(plain) == _schedule_rows(traced)
         assert plain.edge_comm_times == traced.edge_comm_times
         p, t = plain_sched.cost_cache_stats, traced_sched.cost_cache_stats
-        for key in (
-            "probes_considered",
-            "probes_bound_pruned",
-            "probes_dominance_pruned",
-        ):
+        for key in ("probes_considered", "probes_bound_pruned"):
             assert t[key] == p[key], key
 
 

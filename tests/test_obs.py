@@ -17,6 +17,8 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.cli import main as obs_main, report_text
+from repro.obs.dashboard import render_dashboard
+from repro.obs.registry import registry_from_events, render_openmetrics
 from repro.sim import ExecutionEngine
 
 from tests.helpers import build_random_graph
@@ -322,6 +324,40 @@ class TestMemoTelemetry:
     def test_memo_limit_validation(self):
         with pytest.raises(ValueError):
             LocMpsScheduler(memo_limit=0)
+
+
+class TestPruneTelemetry:
+    """``prune_stats`` deltas, the registry and the dashboard tile agree."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        tr = Tracer()
+        _, _, sched, _ = traced_schedule(tr)
+        return tr, sched.cost_cache_stats
+
+    def test_registry_totals_equal_events_and_cost_cache_stats(self, run):
+        tr, stats = run
+        deltas = [e.fields for e in tr.events if e.name == "prune_stats"]
+        assert deltas
+        reg = registry_from_events(tr.events)
+        for kind in ("considered", "bound_pruned"):
+            total = sum(d[kind] for d in deltas)
+            assert total > 0, kind
+            assert reg.get("prune_probes", kind=kind) == total
+            assert stats[f"probes_{kind}"] == total
+        assert all(set(d) == {"considered", "bound_pruned"} for d in deltas)
+        assert reg.get("prune_probes", kind="dominance_pruned") is None
+        assert "dominance_pruned" not in render_openmetrics(reg)
+
+    def test_dashboard_tile_lists_considered_and_break_pruned(self, run):
+        tr, stats = run
+        considered = stats["probes_considered"]
+        pruned = stats["probes_bound_pruned"]
+        html = render_dashboard(tr.events)
+        assert "Probe prune rate" in html
+        assert f"{pruned / (considered + pruned):.1%}" in html
+        assert f"{considered} considered, {pruned} break-pruned" in html
+        assert "dominance" not in html
 
 
 class TestSelectEdgeSignature:
