@@ -25,10 +25,9 @@ array-native speedups.
 
 The reference scan carries no lazy candidate ladder — every candidate
 start time is materialized and probed under the seed's ``tau + et``
-break only. The differential battery asserts the
-production scan produces bit-identical schedules to this arm, which is
-what makes its shortcuts *provably* schedule-preserving rather than just
-plausibly so.
+break only. The differential battery asserts the production scan
+produces bit-identical schedules to this arm, which is what makes its
+shortcuts *provably* schedule-preserving rather than just plausibly so.
 
 Property tests (``tests/test_perf_equivalence.py``) and the differential
 battery (``tests/test_array_equivalence.py``) assert fast == naive on

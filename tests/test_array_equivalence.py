@@ -868,12 +868,12 @@ class TestPrefixReuseDifferential:
             )
 
 
-class TestNoBackfillEpsMerge:
-    """The EPS-aware merge of near-equal no-backfill candidate starts."""
+class TestNoBackfillLadder:
+    """No-backfill probes the reference scan's ladder, recording or not."""
 
-    def test_eps_near_candidate_dropped_without_changing_the_schedule(self):
-        # processors 1 and 2 free within EPS/2 of processor 0: the merged
-        # arm probes 1.0 only, the recording arm pins the raw ladder
+    def test_eps_near_candidates_stay_on_the_ladder(self):
+        # processors 1 and 2 free within EPS/2 of processor 0: both 1.0 and
+        # 1.0 + EPS/2 are probed, untraced as well as recording
         graph = TaskGraph("merge")
         prof = ExecutionProfile(AmdahlSpeedup(1.0), 2.0)
         graph.add_task("a", prof)
@@ -885,28 +885,37 @@ class TestNoBackfillEpsMerge:
         )
         alloc = {"a": 2, "b": 2}
         opts = LocbsOptions(backfill=False)
-        merged = locbs_schedule(
-            graph, cluster, alloc, opts, context=context
+        cache = CostCache(cluster)
+        plain = locbs_schedule(
+            graph, cluster, alloc, opts, context=context, cost_cache=cache
         ).schedule
         rec = ProvenanceRecorder()
         raw = locbs_schedule(
             graph, cluster, alloc, opts, context=context, provenance=rec
         ).schedule
-        assert _schedule_rows(merged) == _schedule_rows(raw)
-        # the recording arm really probed the EPS-near duplicate the merge
-        # provably dropped
+        ref = locbs_schedule_reference(
+            graph, cluster, alloc, opts, context=context
+        ).schedule
+        assert _schedule_rows(plain) == _schedule_rows(raw)
+        assert _schedule_rows(plain) == _schedule_rows(ref)
         taus = [c.tau for c in rec.decision_for("a").candidates]
-        assert 1.0 + EPS / 2 in taus
+        assert taus == [0.0, 1.0, 1.0 + EPS / 2]
+        # the untraced scan walked the same ladders (every rung is either
+        # considered or closed by the break)
+        stats = cache.stats
+        assert stats["probes_considered"] + stats["probes_bound_pruned"] == sum(
+            len(d.candidates) for d in rec.decisions
+        )
 
-    def test_nobackfill_merged_arm_matches_recording_arm(self):
+    def test_untraced_arm_matches_recording_arm(self):
         graph = WORKLOADS["wide-synthetic"]()
         cluster = _cluster()
         alloc = {t: 1 + (i % 3) for i, t in enumerate(graph.tasks())}
         opts = LocbsOptions(backfill=False)
-        merged = locbs_schedule(graph, cluster, alloc, opts).schedule
+        plain = locbs_schedule(graph, cluster, alloc, opts).schedule
         rec = ProvenanceRecorder()
         raw = locbs_schedule(
             graph, cluster, alloc, opts, provenance=rec
         ).schedule
-        assert _schedule_rows(merged) == _schedule_rows(raw)
+        assert _schedule_rows(plain) == _schedule_rows(raw)
         assert len(rec.decisions) == len(list(graph.tasks()))
