@@ -12,6 +12,7 @@ __all__ = [
     "GraphError",
     "CycleError",
     "UnknownTaskError",
+    "MissingFieldError",
     "ProfileError",
     "AllocationError",
     "ScheduleError",
@@ -40,6 +41,13 @@ class UnknownTaskError(GraphError, KeyError):
     """A task name was referenced that does not exist in the graph."""
 
     def __str__(self) -> str:  # KeyError quotes its message; keep it readable
+        return Exception.__str__(self)
+
+
+class MissingFieldError(GraphError, KeyError):
+    """A serialized task graph lacks a required field."""
+
+    def __str__(self) -> str:  # as UnknownTaskError: no KeyError quoting
         return Exception.__str__(self)
 
 

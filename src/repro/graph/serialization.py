@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple, Union
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, MissingFieldError
 from repro.graph.taskgraph import TaskGraph
 from repro.speedup import (
     AmdahlSpeedup,
@@ -119,12 +119,17 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 def graph_from_dict(doc: Dict[str, Any]) -> TaskGraph:
     """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output."""
     graph = TaskGraph(doc.get("name", "taskgraph"))
-    for tdoc in doc["tasks"]:
-        model = _decode_model(tdoc["model"])
-        profile = ExecutionProfile(model, tdoc["sequential_time"])
-        graph.add_task(tdoc["name"], profile, **tdoc.get("attrs", {}))
-    for edoc in doc["edges"]:
-        graph.add_edge(edoc["src"], edoc["dst"], edoc.get("data_volume", 0.0))
+    try:
+        for tdoc in doc["tasks"]:
+            model = _decode_model(tdoc["model"])
+            profile = ExecutionProfile(model, tdoc["sequential_time"])
+            graph.add_task(tdoc["name"], profile, **tdoc.get("attrs", {}))
+        for edoc in doc["edges"]:
+            graph.add_edge(edoc["src"], edoc["dst"], edoc.get("data_volume", 0.0))
+    except GraphError:
+        raise
+    except KeyError as err:
+        raise MissingFieldError(f"graph document lacks field {err.args[0]!r}") from None
     return graph
 
 

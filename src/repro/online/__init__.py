@@ -11,10 +11,10 @@ for streaming arrivals rather than the deviation-replay loop of
 * :mod:`repro.online.jobs` — job records and per-job task namespacing;
 * :mod:`repro.online.admission` — admission control (reject / defer);
 * :mod:`repro.online.placer` — the perf core: an incremental placer that
-  persists the :class:`~repro.schedule.ProcessorTimeline`,
-  :class:`~repro.schedule.PlacementIndex` and
+  persists the :class:`~repro.schedule.ProcessorTimeline` and
   :class:`~repro.schedulers.costcache.CostCache` across events and
-  splices each arrival into the live chart, plus the cold-rebuild
+  splices each arrival into the live chart with the offline LoCBS pass,
+  plus the cold-rebuild
   differential arm that must stay bit-identical;
 * :mod:`repro.online.daemon` — the event loop tying it together;
 * :mod:`repro.online.swf` — Standard Workload Format trace ingestion;

@@ -1,14 +1,13 @@
 """Incremental per-event placement — the online daemon's perf core.
 
 :class:`IncrementalPlacer` persists the
-:class:`~repro.schedule.ProcessorTimeline`, the
-:class:`~repro.schedule.PlacementIndex` and the
+:class:`~repro.schedule.ProcessorTimeline` and the
 :class:`~repro.schedulers.costcache.CostCache` across events: placing an
 arriving job is **one** call to
-:func:`~repro.schedulers.locbs.splice_schedule` against the live chart,
-so the hole scan prices only the candidate start times the job's own
-window can touch (its submission-time floor plus the release times after
-it) — never the accumulated history.
+:func:`~repro.schedulers.locbs.splice_schedule` — the offline LoCBS pass
+run on the live chart — so the hole scan prices only the candidate start
+times the job's own window can touch (its submission-time floor plus the
+release times after it) — never the accumulated history.
 
 :class:`ColdRebuildPlacer` is the differential arm: it answers the same
 ``place`` request by rebuilding the machine **from empty** — replaying
@@ -37,7 +36,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.cluster import Cluster
 from repro.graph import TaskGraph
-from repro.schedule import PlacedTask, PlacementIndex, ProcessorTimeline
+from repro.schedule import PlacedTask, ProcessorTimeline
 from repro.schedulers.costcache import CostCache
 from repro.schedulers.locbs import LocbsOptions, splice_schedule
 
@@ -71,7 +70,6 @@ class IncrementalPlacer:
         self.cluster = cluster
         self.options = options
         self.timeline = ProcessorTimeline(cluster.processors)
-        self.index = PlacementIndex()
         self.cost_cache = CostCache(cluster)
         self.history: List[_HistoryEntry] = []
 
@@ -93,7 +91,6 @@ class IncrementalPlacer:
             release_floor=release_floor,
             options=self.options,
             cost_cache=self.cost_cache,
-            index=self.index,
         )
         latency = time.perf_counter() - t0
         after = _probe_snapshot(self.cost_cache)
@@ -145,25 +142,17 @@ class ColdRebuildPlacer:
         t0 = time.perf_counter()
         timeline = ProcessorTimeline(self.cluster.processors)
         cache = CostCache(self.cluster)
-        for past_graph, past_alloc, past_floor in self.history:
-            splice_schedule(
-                past_graph,
+        # replay the history, then the new job: the last splice is its own
+        for g, a, floor in [*self.history, (graph, alloc, release_floor)]:
+            placements = splice_schedule(
+                g,
                 self.cluster,
-                past_alloc,
+                a,
                 timeline,
-                release_floor=past_floor,
+                release_floor=floor,
                 options=self.options,
                 cost_cache=cache,
             )
-        placements = splice_schedule(
-            graph,
-            self.cluster,
-            alloc,
-            timeline,
-            release_floor=release_floor,
-            options=self.options,
-            cost_cache=cache,
-        )
         latency = time.perf_counter() - t0
         probes = _probe_snapshot(cache)  # fresh cache: totals == this call
         self.history.append((graph, alloc, release_floor))

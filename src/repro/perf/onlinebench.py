@@ -206,7 +206,7 @@ def run_onlinebench(
         "methodology": (
             "Both suites run the daemon with differential=True: every "
             "placement is produced by the incremental arm (persistent "
-            "timeline/index/cost-cache, one splice per event) AND by the "
+            "timeline and cost cache, one splice per event) AND by the "
             "cold-rebuild arm (fresh state, full history re-splice, then "
             "the new job) and compared bit-exactly; identical=false fails "
             "the run. median_speedup = cold median placement latency / "

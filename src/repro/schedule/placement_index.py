@@ -39,10 +39,6 @@ class PlacementIndex:
         self._entries: Dict[int, List[Tuple[str, int]]] = {}
         self._count = 0
 
-    def __len__(self) -> int:
-        """Number of placements added."""
-        return self._count
-
     def add(self, placement: PlacedTask) -> None:
         """Index *placement* on every processor it occupies."""
         seq = self._count
@@ -117,9 +113,3 @@ class PlacementIndex:
         if latest is not None:
             return [latest[2]]
         return []
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PlacementIndex(placements={self._count}, "
-            f"processors={len(self._finishes)})"
-        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.exceptions import AllocationError
@@ -68,6 +68,17 @@ class Scheduler(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def whole_width(task: str, width: Any) -> int:
+    """*width* as an ``int``, or :class:`AllocationError` if it is not whole."""
+    try:
+        whole = int(width)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        whole = None
+    if whole is None or whole != width:  # 1.5 is not truncated to 1
+        raise AllocationError(f"allocation for {task!r} is {width!r}, not whole")
+    return whole
+
+
 def clamp_allocation(
     graph: TaskGraph, cluster: Cluster, allocation: Mapping[str, int]
 ) -> Dict[str, int]:
@@ -77,12 +88,13 @@ def clamp_allocation(
         np_t = allocation.get(t)
         if np_t is None:
             raise AllocationError(f"allocation missing task {t!r}")
+        np_t = whole_width(t, np_t)
         if not (1 <= np_t <= cluster.num_processors):
             raise AllocationError(
                 f"allocation for {t!r} is {np_t}, outside "
                 f"[1, {cluster.num_processors}]"
             )
-        out[t] = int(np_t)
+        out[t] = np_t
     return out
 
 

@@ -238,7 +238,41 @@ def locbs_schedule(
             raise ScheduleError("base pass was run on a different cluster")
         if provenance is not None:
             raise ScheduleError("provenance recording needs a cold pass (base=None)")
-    tracer = tracer or NULL_TRACER
+    timeline = ProcessorTimeline(cluster.processors)
+    if context is not None:
+        for proc, ready in context.processor_ready.items():
+            if ready > 0:
+                timeline.reserve([proc], 0.0, ready)
+    schedule, vertex_weights, edge_weights, sdag_pseudo, reused = _locbs_pass(
+        graph, cluster, allocation, timeline, options, context,
+        tracer or NULL_TRACER, cost_cache, provenance, base,
+    )
+    sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
+    for u, v in sdag_pseudo:
+        sdag.add_pseudo_edge(u, v)
+    return SchedulingResult(
+        schedule=schedule, sdag=sdag, placements_reused=reused
+    )
+
+
+def _locbs_pass(
+    graph: TaskGraph,
+    cluster: Cluster,
+    allocation: Mapping[str, int],
+    timeline: ProcessorTimeline,
+    options: LocbsOptions,
+    context: Optional["SchedulingContext"],
+    tracer: Tracer,
+    cost_cache: Optional[CostCache],
+    provenance: Optional[ProvenanceRecorder],
+    base: Optional[SchedulingResult],
+) -> Tuple[Schedule, Dict[str, float], Dict[Tuple[str, str], float],
+           List[Tuple[str, str]], int]:
+    """One Algorithm 2 pass placing *graph* into *timeline* (mutated).
+
+    Returns the schedule in pop order, the schedule-DAG vertex and edge
+    weights, the ``(blocker, task)`` pseudo-edge pairs and the reused count.
+    """
     alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
     inv = cache.graph_invariants(graph)
@@ -256,11 +290,6 @@ def locbs_schedule(
     bl = _bottom_levels_under(inv, graph, alloc, est_costs)
     prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
 
-    timeline = ProcessorTimeline(cluster.processors)
-    if context is not None:
-        for proc, ready in context.processor_ready.items():
-            if ready > 0:
-                timeline.reserve([proc], 0.0, ready)
     schedule = Schedule(cluster, scheduler="locbs")
     index = PlacementIndex()
     vertex_weights: Dict[str, float] = {}
@@ -352,12 +381,7 @@ def locbs_schedule(
             bound_pruned=_ps["probes_bound_pruned"] - probes_base[1],
         )
         tracer.event("prefix_reused", count=reused)
-    sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
-    for u, v in sdag_pseudo:
-        sdag.add_pseudo_edge(u, v)
-    return SchedulingResult(
-        schedule=schedule, sdag=sdag, placements_reused=reused
-    )
+    return schedule, vertex_weights, edge_weights, sdag_pseudo, reused
 
 
 def _reused_inbound(
@@ -395,17 +419,15 @@ def splice_schedule(
     release_floor: float = 0.0,
     options: LocbsOptions = LocbsOptions(),
     cost_cache: Optional[CostCache] = None,
-    index: Optional[PlacementIndex] = None,
 ) -> List[PlacedTask]:
     """Place *graph* into a **live** chart, mutating *timeline* in place.
 
-    The online daemon's incremental hot path: where :func:`locbs_schedule`
-    starts from an empty machine, this runs the identical hole scan
-    against whatever busy intervals *timeline* already holds — an arriving
-    job is spliced around every committed placement, probing only
-    ``release_floor`` (its submission time) and the release times after
-    it, so the per-event cost scales with the job and the chart's *open*
-    holes, not with the accumulated history.
+    The online daemon's incremental hot path is the same pass as
+    :func:`locbs_schedule`, run on the caller's chart instead of an empty
+    one: an arriving job is spliced around every committed placement,
+    probing only ``release_floor`` (its submission time) and the release
+    times after it, so the per-event cost scales with the job and the
+    chart's *open* holes, not with the accumulated history.
 
     Determinism contract: the produced placements are a pure function of
     the chart's *content* (the timeline's sorted structures are
@@ -414,53 +436,17 @@ def splice_schedule(
     arm replay the same splices from an empty machine and demand
     bit-identical results (``tests/test_online_daemon.py``).
 
-    *index* (optional) receives every placement in commit order, so a
-    persistent :class:`~repro.schedule.PlacementIndex` can answer
-    "which job blocked this arrival" queries across events. *cost_cache*
-    (optional) is the cross-event memo — cached values are exact, so
-    sharing it never changes the schedule. Returns the placements in
-    commit order; task names must not collide with tasks already on the
-    chart (the daemon namespaces them per job).
+    *cost_cache* (optional) is the cross-event memo — cached values are
+    exact, so sharing it never changes the schedule. Returns the
+    placements in commit order (no schedule-DAG); task names must not
+    collide with tasks already on the chart (the daemon namespaces them
+    per job).
     """
-    alloc = clamp_allocation(graph, cluster, allocation)
-    cache = cost_cache if cost_cache is not None else CostCache(cluster)
-    inv = cache.graph_invariants(graph)
-    context = SchedulingContext(release_floor=release_floor)
-
-    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
-    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
-    prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
-
-    preds = inv.preds
-    placed: Dict[str, PlacedTask] = {}
-    out: List[PlacedTask] = []
-    unplaced = set(graph.tasks())
-    placed_count: Dict[str, int] = {t: 0 for t in unplaced}
-    n_preds = {t: len(ps) for t, ps in preds.items()}
-    ready = ReadyQueue(prio)
-    for t in graph.tasks():
-        if n_preds[t] == 0:
-            ready.push(t)
-
-    while unplaced:
-        if not ready:
-            raise ScheduleError("no ready task but tasks remain: cyclic graph?")
-        tp = ready.pop()
-        unplaced.discard(tp)
-        placement, _comm, _est = _place_task(
-            tp, preds[tp], graph, cluster, alloc, cache, timeline, placed,
-            options, context,
-        )
-        timeline.reserve(placement.processors, placement.start, placement.finish)
-        placed[tp] = placement
-        out.append(placement)
-        if index is not None:
-            index.add(placement)
-        for succ in inv.succs[tp]:
-            placed_count[succ] += 1
-            if placed_count[succ] == n_preds[succ] and succ in unplaced:
-                ready.push(succ)
-    return out
+    return list(_locbs_pass(
+        graph, cluster, allocation, timeline, options,
+        SchedulingContext(release_floor=release_floor), NULL_TRACER,
+        cost_cache, None, None,
+    )[0])
 
 
 def _place_task(
@@ -473,9 +459,9 @@ def _place_task(
     timeline: ProcessorTimeline,
     schedule: Schedule,
     options: LocbsOptions,
-    context: Optional["SchedulingContext"] = None,
-    tracer: Tracer = NULL_TRACER,
-    provenance: Optional[ProvenanceRecorder] = None,
+    context: Optional["SchedulingContext"],
+    tracer: Tracer,
+    provenance: Optional[ProvenanceRecorder],
 ) -> Tuple[PlacedTask, Dict[Tuple[str, str], float], float]:
     """Find the minimum-finish-time hole for *tp* (Algorithm 2, steps 5-16).
 

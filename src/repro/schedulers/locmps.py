@@ -28,7 +28,7 @@ from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph, concurrency_ratio
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedulers.base import Scheduler, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingResult, whole_width
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache
 from repro.schedulers.locbs import LocbsOptions, locbs_schedule
@@ -109,12 +109,13 @@ class LocMpsScheduler(Scheduler):
         graph (see :mod:`repro.cache`). The walk still evaluates the
         paper's all-ones seed first; the warm vector (clamped to
         ``[1, P]``, unknown tasks ignored, missing tasks defaulting to
-        one processor) is adopted as the starting point **only if its
-        LoCBS makespan strictly beats the all-ones schedule** — when it
-        does not, the run is bit-identical to a cold one (the rejected
-        vector leaves nothing behind but a memo entry). Adoption
-        telemetry lands in :attr:`warm_start_stats` and, when tracing,
-        in ``cache_warm_start`` events.
+        one processor, widths that are not whole numbers raising
+        :class:`~repro.exceptions.AllocationError`) is adopted as the
+        starting point **only if its LoCBS makespan strictly beats the
+        all-ones schedule** — when it does not, the run is bit-identical
+        to a cold one (the rejected vector leaves nothing behind but a
+        memo entry). Adoption telemetry lands in :attr:`warm_start_stats`
+        and, when tracing, in ``cache_warm_start`` events.
     tracer:
         Optional :class:`repro.obs.Tracer` recording the outer allocation
         loop (``outer_iteration``, ``lookahead_step``,
@@ -472,7 +473,7 @@ class LocMpsScheduler(Scheduler):
             # rest of the run is bit-identical to a cold start.
             if self.initial_allocation is not None:
                 warm_alloc = {
-                    t: max(1, min(P, int(self.initial_allocation.get(t, 1))))
+                    t: max(1, min(P, whole_width(t, self.initial_allocation.get(t, 1))))
                     for t in tasks
                 }
                 if warm_alloc != best_alloc:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster, LocMpsScheduler, TaskGraph, validate_schedule
-from repro.exceptions import ScheduleError
+from repro.exceptions import AllocationError, ScheduleError
 from repro.speedup import AmdahlSpeedup, ExecutionProfile, LinearSpeedup
 
 from tests.helpers import build_fig3_graph, build_random_graph
@@ -19,6 +19,26 @@ class TestConfiguration:
             LocMpsScheduler(top_fraction=0.0)
         with pytest.raises(ValueError):
             LocMpsScheduler(top_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "width", [1.5, float("nan")], ids=["fraction", "nan"]
+    )
+    def test_non_whole_initial_allocation_raises(self, width):
+        g = build_fig3_graph()
+        sched = LocMpsScheduler(initial_allocation={"T1": width})
+        with pytest.raises(AllocationError, match="not whole"):
+            sched.schedule(g, Cluster(num_processors=4))
+
+    def test_whole_float_initial_allocation_accepted(self):
+        g = build_fig3_graph()
+        cl = Cluster(num_processors=4)
+        warm = {t: 2.0 for t in g.tasks()}
+        as_floats = LocMpsScheduler(initial_allocation=warm).schedule(g, cl)
+        as_ints = LocMpsScheduler(
+            initial_allocation={t: 2 for t in g.tasks()}
+        ).schedule(g, cl)
+        assert as_floats.allocation() == as_ints.allocation()
+        assert as_floats.makespan == as_ints.makespan
 
     def test_nobackfill_renames(self):
         assert LocMpsScheduler(backfill=False).name == "locmps-nobackfill"

@@ -5,7 +5,7 @@ The load-bearing claims under test:
 * ``splice_schedule`` into an empty chart is **bit-identical** to
   ``locbs_schedule`` — the online path is the offline scheduler, not an
   approximation of it;
-* the incremental arm (persistent timeline/index/cost-cache) and the
+* the incremental arm (persistent timeline and cost cache) and the
   cold-rebuild arm (fresh state, full history replay per event) produce
   bit-identical placements on every event, while the incremental arm
   prices strictly fewer probe-ladder candidates;
@@ -40,8 +40,11 @@ from repro.online import (
 )
 from repro.online.daemon import latency_stats, percentile
 from repro.schedule import ProcessorTimeline
-from repro.schedulers.locbs import locbs_schedule, splice_schedule
+from repro.schedulers.context import SchedulingContext
+from repro.schedulers.costcache import CostCache
+from repro.schedulers.locbs import LocbsOptions, locbs_schedule, splice_schedule
 from repro.speedup import AmdahlSpeedup, ExecutionProfile, LinearSpeedup
+from repro.workloads import synthetic_dag
 
 
 def small_template() -> TaskGraph:
@@ -179,20 +182,65 @@ class TestSwf:
         assert len(jobs) == 1
 
 
+def _probe_counts(cache: CostCache):
+    return cache.stats["probes_considered"], cache.stats["probes_bound_pruned"]
+
+
+#: (backfill, overlap, comm_blind, locality_blind)
+_SPLICE_CASES = [
+    (True, True, False, False),
+    (False, True, False, False),
+    (True, False, False, False),
+    (False, False, False, False),
+    (True, True, True, False),
+    (True, True, False, True),
+]
+
+
 class TestSpliceEquivalence:
-    def test_splice_on_empty_chart_matches_locbs(self):
-        tmpl = small_template()
-        cl = Cluster(8, bandwidth=1e8)
-        alloc = {t: 2 for t in tmpl.tasks()}
-        offline = locbs_schedule(tmpl, cl, alloc)
+    @pytest.mark.parametrize("floor_frac", [0.0, 0.3], ids=["floor0", "floor-mid"])
+    @pytest.mark.parametrize(
+        "backfill,overlap,comm_blind,locality_blind",
+        _SPLICE_CASES,
+        ids=["default", "nobackfill", "nooverlap", "nobackfill-nooverlap",
+             "comm_blind", "locality_blind"],
+    )
+    def test_splice_on_empty_chart_matches_locbs(
+        self, backfill, overlap, comm_blind, locality_blind, floor_frac
+    ):
+        graph = synthetic_dag(num_tasks=16, ccr=1.0, seed=5)
+        cl = Cluster(8, bandwidth=12.5e6, overlap=overlap)
+        alloc = {t: 1 + i % 3 for i, t in enumerate(sorted(graph.tasks()))}
+        opts = LocbsOptions(
+            backfill=backfill, comm_blind=comm_blind, locality_blind=locality_blind
+        )
+        floor = 0.0
+        if floor_frac:
+            # past the ready time of some task of the unclamped schedule
+            cold = locbs_schedule(graph, cl, alloc, opts).schedule
+            floor = floor_frac * cold.makespan
+            assert any(p.start < floor for p in cold)
+
+        offline_cache = CostCache(cl)
+        offline = locbs_schedule(
+            graph, cl, alloc, opts,
+            context=SchedulingContext(release_floor=floor),
+            cost_cache=offline_cache,
+        )
+        splice_cache = CostCache(cl)
         timeline = ProcessorTimeline(cl.processors)
-        spliced = splice_schedule(tmpl, cl, dict(alloc), timeline)
-        for got in spliced:
-            ref = offline.schedule[got.name]
-            assert got.start == ref.start
-            assert got.exec_start == ref.exec_start
-            assert got.finish == ref.finish
-            assert got.processors == ref.processors
+        spliced = splice_schedule(
+            graph, cl, dict(alloc), timeline,
+            release_floor=floor, options=opts, cost_cache=splice_cache,
+        )
+        assert [
+            (p.name, p.start, p.exec_start, p.finish, p.processors)
+            for p in spliced
+        ] == [
+            (p.name, p.start, p.exec_start, p.finish, p.processors)
+            for p in offline.schedule
+        ]
+        assert _probe_counts(splice_cache) == _probe_counts(offline_cache)
 
     def test_release_floor_clamps_starts(self):
         g = TaskGraph()

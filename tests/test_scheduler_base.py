@@ -42,6 +42,24 @@ class TestClampAllocation:
         with pytest.raises(AllocationError):
             clamp_allocation(g, cl, {"A": 5, "B": 1})
 
+    @pytest.mark.parametrize(
+        "width", [1.5, 0.5, float("nan"), float("inf"), "2"],
+        ids=["fraction", "below-one", "nan", "inf", "string"],
+    )
+    def test_non_whole_width_raises(self, width):
+        g = make_pair()
+        cl = Cluster(num_processors=4)
+        with pytest.raises(AllocationError, match="not whole"):
+            clamp_allocation(g, cl, {"A": width, "B": 1})
+
+    def test_whole_floats_and_numpy_ints_pass(self):
+        np = pytest.importorskip("numpy")
+        g = make_pair()
+        cl = Cluster(num_processors=4)
+        out = clamp_allocation(g, cl, {"A": 2.0, "B": np.int64(3)})
+        assert out == {"A": 2, "B": 3}
+        assert all(type(w) is int for w in out.values())
+
     def test_returns_copy(self):
         g = make_pair()
         cl = Cluster(num_processors=4)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import TaskGraph, load_graph, save_graph
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, MissingFieldError
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.speedup import (
     AmdahlSpeedup,
@@ -69,6 +69,22 @@ class TestErrors:
         doc = graph_to_dict(make_graph())
         doc["tasks"][0]["model"]["type"] = "mystery"
         with pytest.raises(GraphError, match="unknown speedup model"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["tasks", "edges"])
+    def test_missing_top_level_field(self, field):
+        doc = graph_to_dict(make_graph())
+        del doc[field]
+        with pytest.raises(MissingFieldError, match=field) as info:
+            graph_from_dict(doc)
+        # still a KeyError for callers that catch the old bare error
+        assert isinstance(info.value, KeyError)
+        assert isinstance(info.value, GraphError)
+
+    def test_missing_task_field(self):
+        doc = graph_to_dict(make_graph())
+        del doc["tasks"][0]["sequential_time"]
+        with pytest.raises(MissingFieldError, match="sequential_time"):
             graph_from_dict(doc)
 
     def test_unregistered_model_rejected_on_encode(self):
