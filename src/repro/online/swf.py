@@ -28,6 +28,7 @@ widths, clamped to the target machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Union
 
@@ -76,10 +77,13 @@ def parse_swf(source: Union[str, Iterable[str]]) -> List[SwfJob]:
             job_id = fields[0]
             submit = float(fields[1])
             run_time = float(fields[3])
+            # int() raises ValueError on nan and OverflowError on inf
             allocated = int(float(fields[4]))
             requested = int(float(fields[7]))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ScheduleError(f"SWF line {lineno}: unparsable field") from exc
+        if not (math.isfinite(submit) and math.isfinite(run_time)):
+            raise ScheduleError(f"SWF line {lineno}: non-finite field")
         procs = requested if requested > 0 else allocated
         if run_time <= 0 or procs <= 0:
             continue

@@ -1,9 +1,9 @@
 """Frozen scalar (pure-Python, pre-numpy) hot-path implementations.
 
-The array-native rewrite of :mod:`repro.schedule.timeline` and
-:mod:`repro.redistribution` must not change a single produced value. This
-module preserves the *pre-vectorization* scalar code paths verbatim so the
-claim stays checkable forever:
+The production chart (:mod:`repro.schedule.timeline`) and the array-native
+:mod:`repro.redistribution` kernels must not change a single produced
+value. This module preserves the *pre-vectorization* scalar code paths
+verbatim so the claim stays checkable forever:
 
 * :class:`ScalarProcessorTimeline` / :class:`ScalarIdleSweep` — the
   bisect-on-Python-lists busy-interval chart exactly as it was before the
@@ -15,7 +15,7 @@ claim stays checkable forever:
 * :func:`single_port_time_scalar` / :func:`transfer_time_scalar` — the
   dict-accumulation timing rules built on the scalar volume matrix.
 
-``tests/test_array_equivalence.py`` runs the array-native implementations
+``tests/test_array_equivalence.py`` runs the production implementations
 side by side with these oracles over the full scheduler registry and the
 synthetic/Strassen/TCE workloads and asserts bit-identical schedules, hole
 lists, and volume matrices. The hypothesis suites fuzz the same pairings

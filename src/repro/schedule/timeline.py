@@ -10,17 +10,14 @@ chart incrementally as tasks are placed and answers the queries LoCBS needs:
 * feasibility of a concrete rectangle ``(procs, [start, end))``;
 * per-processor *latest free time* for the cheaper no-backfill variant.
 
-The slot search dominates the whole library's runtime, so the chart is
-**array-native**: busy spans live in two padded ``(P, cap)`` float64
-matrices (``starts``/``ends``, row-sorted, padded with ``+inf``) so a
-single broadcast ``searchsorted``-equivalent — ``(ends <= t+EPS).sum(1)``
-followed by one fancy gather — classifies every processor at once. The
-``+inf`` padding keeps every row sorted and makes the "no further busy
-interval" case fall out of the same gather instead of a branch. Batch
-entry points (:meth:`holes_batch`, :meth:`fits_rows`) answer whole blocks
-of candidate start times per call for the vectorized LoCBS hole scan.
+Busy spans live in one store: per processor row, two sorted Python lists
+(``_starts_l``/``_ends_l``) of span starts and ends. A per-processor
+query is one ``bisect`` on that row; the machine-wide ones
+(:meth:`idle_with_horizon`, :meth:`idle_processors` and the
+:class:`IdleSweep` constructor) are one ``bisect_right`` per row in machine
+order.
 
-Alongside the matrices, three *global* sorted structures are maintained
+Alongside the rows, three *global* sorted lists are maintained
 incrementally (one ``bisect`` + slice-insert each per reservation):
 
 * ``_all_starts`` / ``_all_ends`` — every span boundary with multiplicity,
@@ -31,7 +28,7 @@ incrementally (one ``bisect`` + slice-insert each per reservation):
 * ``_ends_unique`` — the deduplicated release times, so the slot search's
   candidate list is a slice instead of an O(intervals) rebuild.
 
-The scalar API is bit-compatible with the frozen pre-numpy chart
+Every query is bit-compatible with the frozen seed chart
 (:class:`repro.perf.scalar_oracles.ScalarProcessorTimeline`) — the
 differential battery in ``tests/test_array_equivalence.py`` holds the two
 implementations equal on every query.
@@ -46,32 +43,22 @@ fingerprints in ``tests/golden/scheduler_golden.json``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.exceptions import ScheduleError
 from repro.utils.intervals import EPS, Interval, IntervalSet
 
 __all__ = ["IdleSweep", "ProcessorTimeline"]
 
-#: initial per-processor capacity (columns); doubled on demand
-_INIT_CAP = 8
-
 
 class ProcessorTimeline:
     """Busy-interval bookkeeping for a fixed set of processors.
 
-    Rows of the padded ``(P, cap)`` span matrices are indexed by *row*
-    (machine order); ``_row`` maps processor ids to rows. At least one
-    ``+inf`` padding column is maintained after every row's spans so
-    gathers at ``index == count`` read ``inf`` instead of falling off the
-    end. ``_starts_l``/``_ends_l`` mirror each row as plain Python lists:
-    the scalar probes of the slot search (one processor, one instant) beat
-    numpy's per-call overhead by an order of magnitude on ``bisect`` over
-    a small list, while the matrices serve the broadcast queries.
+    Span rows are indexed by *row* (machine order); ``_row`` maps
+    processor ids to rows. Row ``r`` holds its spans as two sorted lists,
+    ``_starts_l[r]`` and ``_ends_l[r]``, with ``_counts[r]`` entries each.
     Processor sets passed to :meth:`reserve` must be duplicate-free (every
     caller passes a placement's processor tuple, which is).
     """
@@ -79,14 +66,9 @@ class ProcessorTimeline:
     __slots__ = (
         "_procs",
         "_row",
-        "_starts2d",
-        "_ends2d",
         "_starts_l",
         "_ends_l",
         "_counts",
-        "_cap",
-        "_prange",
-        "_release_times",
         "_all_starts",
         "_all_ends",
         "_ends_unique",
@@ -103,17 +85,11 @@ class ProcessorTimeline:
         self._procs: Tuple[int, ...] = procs
         self._row: Dict[int, int] = {p: i for i, p in enumerate(procs)}
         n = len(procs)
-        self._cap = _INIT_CAP
-        self._starts2d = np.full((n, self._cap), math.inf)
-        self._ends2d = np.full((n, self._cap), math.inf)
-        #: per-row Python mirrors of the span matrices (scalar hot path)
+        #: per-row sorted span starts and ends
         self._starts_l: List[List[float]] = [[] for _ in range(n)]
         self._ends_l: List[List[float]] = [[] for _ in range(n)]
         #: per-row span counts (Python ints for cheap scalar paths)
         self._counts: List[int] = [0] * n
-        self._prange = np.arange(n)
-        #: global sorted list of busy-interval end times (one per reserve)
-        self._release_times: List[float] = []
         #: global sorted boundaries with per-processor multiplicity — the
         #: busy-count identity of the slot search is two bisects over them
         self._all_starts: List[float] = []
@@ -155,23 +131,7 @@ class ProcessorTimeline:
             for s, e in zip(self._starts_l[r], self._ends_l[r])
         )
 
-    def rows_of(self, procs: Iterable[int]) -> np.ndarray:
-        """Row indices of *procs* for the batch entry points."""
-        row = self._row
-        return np.fromiter((row[p] for p in procs), dtype=np.intp)
-
     # -- mutation ------------------------------------------------------------------
-
-    def _grow(self, needed: int) -> None:
-        new_cap = self._cap
-        while new_cap < needed:
-            new_cap *= 2
-        n = len(self._procs)
-        starts = np.full((n, new_cap), math.inf)
-        ends = np.full((n, new_cap), math.inf)
-        starts[:, : self._cap] = self._starts2d
-        ends[:, : self._cap] = self._ends2d
-        self._starts2d, self._ends2d, self._cap = starts, ends, new_cap
 
     def reserve(self, procs: Iterable[int], start: float, end: float) -> None:
         """Mark ``[start, end)`` busy on *procs*; overlap raises.
@@ -199,10 +159,6 @@ class ProcessorTimeline:
                 raise ScheduleError(
                     f"processor {p} already busy during [{start:g}, {end:g})"
                 )
-        top = max(counts[r] for r in rowlist)
-        if top + 2 > self._cap:
-            self._grow(top + 2)
-        starts2d, ends2d = self._starts2d, self._ends2d
         for r in rowlist:
             sl, el = starts_l[r], ends_l[r]
             idx = bisect_left(sl, start)
@@ -214,16 +170,12 @@ class ProcessorTimeline:
                 self._eps_overlap = True
             sl.insert(idx, start)
             el.insert(idx, end)
-            cnt = counts[r] + 1
-            counts[r] = cnt
-            starts2d[r, idx:cnt] = sl[idx:]
-            ends2d[r, idx:cnt] = el[idx:]
+            counts[r] += 1
         k = len(plist)
         i = bisect_right(self._all_starts, start)
         self._all_starts[i:i] = [start] * k
         i = bisect_right(self._all_ends, end)
         self._all_ends[i:i] = [end] * k
-        insort(self._release_times, end)
         eu = self._ends_unique
         i = bisect_right(eu, end)
         if i == 0 or eu[i - 1] != end:
@@ -232,18 +184,6 @@ class ProcessorTimeline:
             ):
                 self._eps_chain = True
             eu.insert(i, end)
-
-    def busy_count(self, t: float) -> int:
-        """Number of busy processors at instant *t* via two binary searches.
-
-        Exact iff :attr:`counts_exact` (it can only over-count otherwise);
-        the slot search uses ``P - busy_count(t)`` to skip candidate start
-        times with too few idle processors without classifying the machine.
-        """
-        tol = t + EPS
-        return bisect_right(self._all_starts, tol) - bisect_right(
-            self._all_ends, tol
-        )
 
     def _fits(self, proc: int, start: float, end: float) -> bool:
         """True if ``[start, end)`` overlaps no busy interval of *proc*."""
@@ -270,36 +210,12 @@ class ProcessorTimeline:
                 return False
         return True
 
-    def fits_rows(self, rows: np.ndarray, start: float, end: float) -> bool:
-        """:meth:`is_free` on pre-resolved row indices (batch entry point)."""
-        if end - start <= EPS:
-            return True
-        sub_e = self._ends2d[rows]
-        idx = (sub_e <= start + EPS).sum(axis=1)
-        vals = self._starts2d[rows, idx]
-        return bool((vals >= end - EPS).all())
-
     def free_at(self, proc: int, t: float) -> bool:
         """True if *proc* is idle at instant *t* (busy intervals half-open)."""
         r = self._row[proc]
         tol = t + EPS
         idx = bisect_right(self._ends_l[r], tol)
         return idx == self._counts[r] or self._starts_l[r][idx] > tol
-
-    def free_horizon(self, proc: int, t: float) -> float:
-        """Next busy start of *proc* if idle at *t*, else ``-inf``.
-
-        The scalar hot-path fusion of :meth:`free_at` and
-        :meth:`free_until`: one bisect answers both "is it idle" and
-        "until when" (``inf`` when idle forever).
-        """
-        r = self._row[proc]
-        tol = t + EPS
-        idx = bisect_right(self._ends_l[r], tol)
-        if idx == self._counts[r]:
-            return math.inf
-        nxt = self._starts_l[r][idx]
-        return nxt if nxt > tol else -math.inf
 
     def free_until(self, proc: int, t: float) -> float:
         """First busy-interval start at or after *t* (inf if none).
@@ -313,40 +229,26 @@ class ProcessorTimeline:
 
     def idle_processors(self, t: float) -> List[int]:
         """Processors idle at instant *t*, in machine order."""
-        tol = t + EPS
-        idx = (self._ends2d <= tol).sum(axis=1)
-        nxt = self._starts2d[self._prange, idx]
-        procs = self._procs
-        return [procs[i] for i in np.nonzero(nxt > tol)[0].tolist()]
+        return [p for p, _ in self.idle_with_horizon(t)]
 
     def idle_with_horizon(self, t: float) -> List[Tuple[int, float]]:
         """``(proc, next_busy_start)`` for every processor idle at *t*.
 
-        One broadcast classification of the whole machine: the padded-inf
-        gather returns ``inf`` for processors with no further busy span,
-        which is exactly the "idle forever" horizon.
+        One bisect per row, in machine order; the horizon is ``inf`` for a
+        processor with no busy span after *t* (idle forever).
         """
         tol = t + EPS
-        idx = (self._ends2d <= tol).sum(axis=1)
-        nxt = self._starts2d[self._prange, idx]
-        sel = np.nonzero(nxt > tol)[0].tolist()
-        horizons = nxt.tolist()
-        procs = self._procs
-        return [(procs[i], horizons[i]) for i in sel]
-
-    def holes_batch(self, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Idle classification for a whole block of probe times at once.
-
-        Returns ``(free, nxt)``, both ``(len(taus), P)``: ``free[k, r]``
-        is True when row ``r`` is idle at ``taus[k]`` and ``nxt[k, r]`` is
-        its horizon (next busy start, ``inf`` when idle forever — the same
-        pairs :meth:`idle_with_horizon` yields per probe). ``nxt`` of busy
-        rows is meaningful only under the mask.
-        """
-        tol = taus + EPS
-        idx = (self._ends2d[None, :, :] <= tol[:, None, None]).sum(axis=2)
-        nxt = self._starts2d[self._prange[None, :], idx]
-        return nxt > tol[:, None], nxt
+        inf = math.inf
+        out: List[Tuple[int, float]] = []
+        for p, sl, el, cnt in zip(
+            self._procs, self._starts_l, self._ends_l, self._counts
+        ):
+            idx = bisect_right(el, tol)
+            if idx == cnt:
+                out.append((p, inf))
+            elif sl[idx] > tol:
+                out.append((p, sl[idx]))
+        return out
 
     def idle_sweep(self, start: float) -> "IdleSweep":
         """An :class:`IdleSweep` positioned at probe time *start*.
@@ -377,17 +279,18 @@ class ProcessorTimeline:
         While every pair of *distinct* end times on the chart is more than
         ``EPS`` apart (the overwhelmingly common case, tracked by
         ``_eps_chain``), the chain collapse removes exactly the duplicates,
-        so the answer is a slice of the maintained unique-ends list; the
-        O(intervals) collapse only runs for charts that actually contain
-        sub-EPS chains.
+        so the answer is a slice of the maintained unique-ends list. Charts
+        that contain sub-EPS chains run the collapse over that slice; it
+        never keeps an exact duplicate, so dropping them first changes
+        nothing.
         """
+        eu = self._ends_unique
+        tail = eu[bisect_right(eu, after + EPS):]
         if not self._eps_chain:
-            eu = self._ends_unique
-            return eu[bisect_right(eu, after + EPS):]
-        idx = bisect_right(self._release_times, after + EPS)
+            return tail
         out: List[float] = []
         prev = None
-        for t in self._release_times[idx:]:
+        for t in tail:
             if prev is None or t - prev > EPS:
                 out.append(t)
                 prev = t
@@ -432,7 +335,8 @@ class ProcessorTimeline:
 
     def horizon(self) -> float:
         """Latest busy end across all processors (0 for an empty chart)."""
-        return self._release_times[-1] if self._release_times else 0.0
+        eu = self._ends_unique
+        return eu[-1] if eu else 0.0
 
     def busy_time(self) -> float:
         """Total busy span length summed over all processors (machine-seconds).
@@ -462,7 +366,7 @@ class ProcessorTimeline:
     ) -> float:
         """Earliest ``t >= earliest`` with ``[t, t+duration)`` free on *procs*.
 
-        Fixed processor set; used by the list scheduler and tests.
+        Fixed processor set.
         """
         if duration <= EPS:
             return earliest
@@ -476,9 +380,9 @@ class ProcessorTimeline:
     def check_invariants(self) -> None:
         """Raise if any processor's busy intervals are unsorted or overlap.
 
-        Also verifies the numpy matrices, the Python row mirrors and the
-        global boundary lists agree — the representations are maintained
-        jointly by :meth:`reserve` and must never drift.
+        Also verifies the row lists, their counts and the global boundary
+        lists agree — :meth:`reserve` maintains them jointly and they must
+        never drift.
         """
         n_spans = 0
         for i, p in enumerate(self._procs):
@@ -486,15 +390,7 @@ class ProcessorTimeline:
             n_spans += cnt
             sl, el = self._starts_l[i], self._ends_l[i]
             if len(sl) != cnt or len(el) != cnt:
-                raise ScheduleError(f"processor {p} mirror length mismatch")
-            if self._starts2d[i, :cnt].tolist() != sl or self._ends2d[
-                i, :cnt
-            ].tolist() != el:
-                raise ScheduleError(f"processor {p} matrix/mirror drift")
-            if not bool(np.isinf(self._starts2d[i, cnt:]).all()) or not bool(
-                np.isinf(self._ends2d[i, cnt:]).all()
-            ):
-                raise ScheduleError(f"processor {p} padding corrupted")
+                raise ScheduleError(f"processor {p} span count mismatch")
             prev_end = -math.inf
             for s, e in zip(sl, el):
                 if e - s <= EPS:
@@ -534,8 +430,8 @@ class IdleSweep:
     until ``end``, or idle forever — can only change when the probe time
     crosses that boundary, so boundaries are kept in a min-heap and each
     :meth:`advance` pops and reclassifies exactly the processors whose state
-    flipped. Construction is one broadcast classification of the whole
-    machine; each advance is then amortized O(flips log P) instead of
+    flipped. Construction classifies every processor with one bisect per
+    row; each advance is then amortized O(flips log P) instead of
     O(P log intervals) per probe.
 
     The sweep snapshots nothing: it reads the timeline's span lists in
@@ -554,20 +450,20 @@ class IdleSweep:
         tol = start + EPS
         free = self._free
         events = self._events
-        idx = (timeline._ends2d <= tol).sum(axis=1)
-        nxt = timeline._starts2d[timeline._prange, idx].tolist()
-        cur_end = timeline._ends2d[timeline._prange, idx].tolist()
-        counts = timeline._counts
-        idx_list = idx.tolist()
-        for i, p in enumerate(timeline._procs):
-            if idx_list[i] == counts[i]:
+        for p, sl, el, cnt in zip(
+            timeline._procs, timeline._starts_l, timeline._ends_l,
+            timeline._counts,
+        ):
+            idx = bisect_right(el, tol)
+            if idx == cnt:
                 free[p] = math.inf  # idle forever: never reclassified
                 continue
-            if nxt[i] > tol:
-                free[p] = nxt[i]
-                events.append((nxt[i], p))
+            nxt = sl[idx]
+            if nxt > tol:
+                free[p] = nxt
+                events.append((nxt, p))
             else:
-                events.append((cur_end[i], p))
+                events.append((el[idx], p))
         heapify(events)
 
     def advance(self, t: float) -> None:

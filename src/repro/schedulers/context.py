@@ -11,12 +11,21 @@ with work that has already happened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import ScheduleError
 
 __all__ = ["ExternalInput", "SchedulingContext"]
+
+
+def _check_time(what: str, value: float) -> None:
+    """Raise :class:`ScheduleError` unless *value* is finite and >= 0."""
+    if not math.isfinite(value) or value < 0:
+        raise ScheduleError(
+            f"{what} {value} is not a finite, non-negative number"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,10 +53,8 @@ class ExternalInput:
     def __post_init__(self) -> None:
         if not self.processors:
             raise ScheduleError("external input needs a non-empty processor set")
-        if self.volume < 0:
-            raise ScheduleError(f"negative external volume {self.volume}")
-        if self.ready_time < 0:
-            raise ScheduleError(f"negative ready time {self.ready_time}")
+        _check_time("external volume", self.volume)
+        _check_time("ready time", self.ready_time)
 
 
 @dataclass
@@ -70,10 +77,9 @@ class SchedulingContext:
     release_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.release_floor < 0:
-            raise ScheduleError(
-                f"negative release floor {self.release_floor}"
-            )
+        _check_time("release floor", self.release_floor)
+        for proc, ready in self.processor_ready.items():
+            _check_time(f"processor {proc} ready time", ready)
 
     def inputs_for(self, task: str) -> Sequence[ExternalInput]:
         return self.external_inputs.get(task, ())

@@ -1,10 +1,11 @@
-"""Differential battery: array-native hot paths vs the frozen scalar oracles.
+"""Differential battery: production chart and kernels vs the frozen oracles.
 
-The numpy rewrite of the busy-interval chart (:mod:`repro.schedule.timeline`)
-and the block-cyclic redistribution kernels (:mod:`repro.redistribution`)
-claims *bit-identical* outputs — not approximately equal, identical floats.
-This module holds that claim against the pre-vectorization scalar code
-preserved verbatim in :mod:`repro.perf.scalar_oracles`:
+The busy-interval chart (:mod:`repro.schedule.timeline`, per-row sorted
+lists plus global boundary lists) and the numpy block-cyclic redistribution
+kernels (:mod:`repro.redistribution`) claim *bit-identical* outputs — not
+approximately equal, identical floats. This module holds that claim against
+the seed scalar code preserved verbatim in
+:mod:`repro.perf.scalar_oracles`:
 
 * every registered scheduler's schedule, replayed placement by placement
   through both timeline implementations, must agree on every query (busy
@@ -16,8 +17,9 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
   sequences and random block-cyclic layouts (derandomized, so CI is
   stable);
 * the known edge cases — zero-duration tasks, back-to-back spans, empty
-  processor sets, single-processor machines, coprime layout sizes whose
-  lcm period must never be materialized — are pinned explicitly;
+  processor sets, single-processor machines, sub-EPS chains of end times
+  (chain collapse, not pairwise dedup), coprime layout sizes whose lcm
+  period must never be materialized — are pinned explicitly;
 * the LoCBS hole scan (``tau + et`` ladder break, lazy release ladder)
   runs against the frozen reference scan over the full registry and on
   adversarially tight fuzzed graphs (zero-volume parents, sub-EPS
@@ -33,7 +35,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -116,7 +117,7 @@ def _assert_timelines_agree(
     array_tl: ProcessorTimeline, scalar_tl: ScalarProcessorTimeline
 ) -> None:
     """Exhaustive query-by-query comparison of the two chart implementations."""
-    array_tl.check_invariants()  # also cross-checks numpy vs list mirrors
+    array_tl.check_invariants()  # also cross-checks rows vs global lists
     procs = array_tl.processors
     assert procs == scalar_tl.processors
     probes = _probe_times(scalar_tl)
@@ -138,15 +139,6 @@ def _assert_timelines_agree(
         for p in procs:
             assert array_tl.free_at(p, t) == scalar_tl.free_at(p, t)
             assert array_tl.free_until(p, t) == scalar_tl.free_until(p, t)
-
-    # the batched hole enumeration equals the per-probe scalar hole lists
-    taus = np.array(probes)
-    free, nxt = array_tl.holes_batch(taus)
-    for k, t in enumerate(probes):
-        pairs = [
-            (procs[r], float(nxt[k, r])) for r in np.nonzero(free[k])[0].tolist()
-        ]
-        assert sorted(pairs) == sorted(scalar_tl.idle_with_horizon(t))
 
     # the incremental sweeps agree at every ascending probe
     sweep = IdleSweep(array_tl, probes[0])
@@ -429,11 +421,28 @@ class TestTimelineEdgeCases:
         assert array_tl.idle_with_horizon(3.0) == [(0, 4.0)]
         assert array_tl.idle_with_horizon(6.0) == [(0, math.inf)]
 
-    def test_holes_batch_on_empty_chart(self):
+    def test_eps_chain_keeps_the_end_pairwise_dedup_would_drop(self):
+        """Ends 6e-10 apart chain-collapse to ``[1.0, 1.0 + 1.2e-9]``.
+
+        Pairwise dedup would drop ``1.0 + 1.2e-9`` (within EPS of its
+        neighbour); the chain collapse keeps it because it is more than
+        EPS past the last *kept* end.
+        """
         array_tl = ProcessorTimeline(range(3))
-        free, nxt = array_tl.holes_batch(np.array([0.0, 1.0]))
-        assert free.all()
-        assert np.isinf(nxt).all()
+        scalar_tl = ScalarProcessorTimeline(range(3))
+        ends = (1.0, 1.0 + 6e-10, 1.0 + 1.2e-9)
+        for tl in (array_tl, scalar_tl):
+            for p, end in enumerate(ends):
+                tl.reserve([p], 0.0, end)
+        assert array_tl._eps_chain
+        assert scalar_tl.release_times(-1.0) == [1.0, 1.0 + 1.2e-9]
+        for after in (-1.0, 0.0, 1.0 - EPS, 1.0, 1.0 + 6e-10, 2.0):
+            eager = scalar_tl.release_times(after)
+            assert array_tl.release_times(after) == eager
+            assert list(array_tl.release_times_after(after)) == eager
+            assert array_tl.release_count_after(after) == len(eager)
+        assert array_tl.horizon() == scalar_tl.horizon() == 1.0 + 1.2e-9
+        _assert_timelines_agree(array_tl, scalar_tl)
 
 
 def _stdout_under_hash_seeds(script: str, seeds) -> list:
@@ -718,20 +727,25 @@ class TestTightGraphFuzz:
     def test_lazy_release_ladder_matches_eager_list(self, data, base):
         """The lazy candidate ladder yields exactly ``release_times``.
 
-        Covers EPS-chain charts too: the quantized reserve strategy
-        manufactures end times within EPS of each other, flipping the
-        timeline onto its chain-collapse slow path.
+        Both are held against the frozen scalar chart over the same
+        reserves. Covers EPS-chain charts too: the quantized reserve
+        strategy manufactures end times within EPS of each other, flipping
+        the timeline onto its chain-collapse slow path.
         """
         num_procs, ops = data
         tl = ProcessorTimeline(range(num_procs))
+        oracle = ScalarProcessorTimeline(range(num_procs))
         for procs, start, dur in ops:
             plist = sorted(procs)
             if tl.is_free(plist, start, start + dur):
                 tl.reserve(plist, start, start + dur)
+                oracle.reserve(plist, start, start + dur)
+        assert tl.horizon() == oracle.horizon()
         releases = tl.release_times(-1.0)
         probes = [-1.0, base] + releases + [t + EPS / 2 for t in releases]
         for after in probes:
-            eager = tl.release_times(after)
+            eager = oracle.release_times(after)
+            assert tl.release_times(after) == eager
             assert list(tl.release_times_after(after)) == eager
             assert tl.release_count_after(after) == len(eager)
 

@@ -28,6 +28,23 @@ class TestSchedulingContext:
         with pytest.raises(ScheduleError):
             ExternalInput(ready_time=-1.0, processors=(0,), volume=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_external_input_rejects_non_finite(self, bad):
+        with pytest.raises(ScheduleError, match="^ready time"):
+            ExternalInput(ready_time=bad, processors=(0,), volume=1.0)
+        with pytest.raises(ScheduleError, match="^external volume"):
+            ExternalInput(ready_time=1.0, processors=(0,), volume=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_context_rejects_non_finite_release_floor(self, bad):
+        with pytest.raises(ScheduleError, match="^release floor"):
+            SchedulingContext(release_floor=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_context_rejects_bad_processor_ready(self, bad):
+        with pytest.raises(ScheduleError, match="processor 1 ready time"):
+            SchedulingContext(processor_ready={0: 2.0, 1: bad})
+
     def test_locbs_respects_processor_ready(self):
         g = TaskGraph()
         g.add_task("A", ExecutionProfile(LinearSpeedup(), 4.0))

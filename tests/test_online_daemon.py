@@ -170,6 +170,24 @@ class TestSwf:
         with pytest.raises(ScheduleError):
             parse_swf("1 0 0 100")
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "7 nan 0 10 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1",  # submit
+            "7 inf 0 10 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1",  # submit
+            "7 0 0 nan 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1",  # run time
+            "7 0 0 inf 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1",  # run time
+            "7 0 0 10 4 -1 -1 inf -1 -1 1 1 1 1 1 1 -1 -1",  # requested
+            "7 0 0 10 inf -1 -1 -1 -1 -1 1 1 1 1 1 1 -1 -1",  # allocated
+        ],
+    )
+    def test_non_finite_field_raises_with_line_number(self, record):
+        trace = "; header\n" + record
+        with pytest.raises(ScheduleError, match="SWF line 2: "):
+            parse_swf(trace)
+        with pytest.raises(ScheduleError, match="SWF line 2"):
+            jobs_from_swf(trace, Cluster(4))
+
     def test_jobs_clamp_width_to_cluster(self):
         jobs = jobs_from_swf(self.TRACE, Cluster(4, bandwidth=1e8))
         assert jobs[0].allocation == {"swf1/work": 4}  # 8 clamped to 4
