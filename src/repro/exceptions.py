@@ -13,6 +13,7 @@ __all__ = [
     "CycleError",
     "UnknownTaskError",
     "MissingFieldError",
+    "EdgeVolumeError",
     "ProfileError",
     "AllocationError",
     "ScheduleError",
@@ -49,6 +50,10 @@ class MissingFieldError(GraphError, KeyError):
 
     def __str__(self) -> str:  # as UnknownTaskError: no KeyError quoting
         return Exception.__str__(self)
+
+
+class EdgeVolumeError(GraphError, ValueError):
+    """An edge's data volume is NaN, infinite or negative."""
 
 
 class ProfileError(ReproError):

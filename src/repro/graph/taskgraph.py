@@ -13,7 +13,12 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import networkx as nx
 
-from repro.exceptions import CycleError, GraphError, UnknownTaskError
+from repro.exceptions import (
+    CycleError,
+    EdgeVolumeError,
+    GraphError,
+    UnknownTaskError,
+)
 from repro.speedup import ExecutionProfile
 from repro.utils.validation import check_non_negative
 
@@ -85,12 +90,17 @@ class TaskGraph:
 
         Adding an edge that would close a directed cycle raises
         :class:`CycleError` immediately, keeping the graph a DAG at all times.
+        A NaN, infinite or negative *data_volume* raises
+        :class:`EdgeVolumeError`.
         """
         self._require(src)
         self._require(dst)
         if src == dst:
             raise CycleError(f"self-loop on task {src!r}")
-        check_non_negative(data_volume, "data_volume")
+        try:
+            check_non_negative(data_volume, "data_volume")
+        except ValueError as err:
+            raise EdgeVolumeError(f"edge {src!r} -> {dst!r}: {err}") from None
         if self._g.has_edge(src, dst):
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         # Cheap cycle guard: a new edge u->v creates a cycle iff v reaches u.

@@ -404,9 +404,12 @@ class ReferenceLocMpsScheduler(LocMpsScheduler):
 
     name = "locmps-reference"
 
-    def _schedule(self, graph, cluster, alloc, base=None) -> SchedulingResult:
-        # *base* is ignored: every reference pass is cold, which is what
-        # makes this arm the oracle for the production prefix reuse.
+    def _schedule(
+        self, graph, cluster, alloc, base=None, plan=None
+    ) -> SchedulingResult:
+        # *base* and *plan* are ignored: every reference pass is cold and
+        # plans its own pop order, which is what makes this arm the oracle
+        # for the production prefix reuse.
         options = LocbsOptions(
             backfill=self.backfill,
             comm_blind=self.comm_blind,

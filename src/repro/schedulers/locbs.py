@@ -63,6 +63,7 @@ from repro.utils.intervals import EPS
 __all__ = [
     "LocbsOptions",
     "ReadyQueue",
+    "locbs_plan",
     "locbs_schedule",
     "splice_schedule",
     "task_priorities",
@@ -73,6 +74,9 @@ _PSEUDO_TOL = 1e-6
 
 #: one probe as the scan saw it: (tau, procs, start, exec_start, finish, tag)
 _Probe = Tuple[float, Tuple[int, ...], float, float, float, str]
+
+#: a pass's pop order: one ``(task, width)`` pair per task
+Plan = Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,52 @@ class ReadyQueue:
         return bool(self._heap)
 
 
+def locbs_plan(
+    graph: TaskGraph,
+    cluster: Cluster,
+    allocation: Mapping[str, int],
+    options: LocbsOptions = LocbsOptions(),
+    cost_cache: Optional[CostCache] = None,
+) -> Plan:
+    """The pop order of a LoCBS pass, as ``(task, width)`` pairs.
+
+    A task becomes ready when its parents are *popped*, not when they
+    finish, and the priorities are fixed before the first placement, so
+    the order a pass places its tasks in is known before any hole scan:
+    it is a dry run of the :class:`ReadyQueue` over the priorities. It
+    depends on the graph, the clamped allocation and
+    ``options.comm_blind`` only. :func:`locbs_schedule` accepts the result
+    as ``plan=`` and then skips this step; *cost_cache* is the cache that
+    pass will use (omitted, a private one).
+    """
+    cache = cost_cache if cost_cache is not None else CostCache(cluster)
+    inv = cache.graph_invariants(graph)
+    alloc = clamp_allocation(graph, cluster, allocation)
+    # Priorities (Algorithm 2, step 4): bottom level under the current
+    # allocation plus the heaviest inbound edge estimate.
+    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
+    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
+    prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
+
+    succs = inv.succs
+    waiting = {t: len(ps) for t, ps in inv.preds.items()}
+    ready = ReadyQueue(prio)
+    for t in graph.tasks():
+        if not waiting[t]:
+            ready.push(t)
+    order: List[Tuple[str, int]] = []
+    while ready:
+        tp = ready.pop()
+        order.append((tp, alloc[tp]))
+        for succ in succs[tp]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                ready.push(succ)
+    if len(order) < len(waiting):
+        raise ScheduleError("no ready task but tasks remain: cyclic graph?")
+    return tuple(order)
+
+
 def locbs_schedule(
     graph: TaskGraph,
     cluster: Cluster,
@@ -187,6 +237,7 @@ def locbs_schedule(
     cost_cache: Optional[CostCache] = None,
     provenance: Optional[ProvenanceRecorder] = None,
     base: Optional[SchedulingResult] = None,
+    plan: Optional[Plan] = None,
 ) -> SchedulingResult:
     """Schedule *graph* under *allocation* with locality-conscious backfill.
 
@@ -217,19 +268,25 @@ def locbs_schedule(
     schedule; ``None`` (the default) keeps the scan free of bookkeeping.
 
     *base* (optional) is an earlier pass over the same *graph* and
-    *cluster*, run with the same *options* and *context* under a different
-    allocation — the LoC-MPS look-ahead passes the pass it widened one
-    task or edge from. A placement depends only on the task's width, its
-    parents' placements and the chart built by the placements before it,
-    so while each popped task is the next task of *base* (in its pop
-    order) at the same width, the base's placement is committed as it is,
-    without a hole scan. The first mismatch ends the reuse for the rest of
-    the pass, and the result is identical to a cold pass either way;
-    ``placements_reused`` on the result counts the copied prefix. Options
-    and context are not checked — the caller must keep them equal — but a
-    *base* over another graph or cluster object raises
+    *cluster*, run with the same *options* and *context* under any other
+    allocation — the LoC-MPS look-ahead passes the memoized pass whose
+    pop order shares the longest prefix with this one. A placement
+    depends only on the task's width, its parents' placements and the
+    chart built by the placements before it, so while each popped task is
+    the next task of *base* (in its pop order) at the same width, the
+    base's placement is committed as it is, without a hole scan. The
+    first mismatch ends the reuse for the rest of the pass, and the
+    result is identical to a cold pass either way; ``placements_reused``
+    on the result counts the copied prefix. Options and context are not
+    checked — the caller must keep them equal — but a *base* over another
+    graph or cluster object raises
     :class:`~repro.exceptions.ScheduleError`, as does combining *base*
     with *provenance*, which needs every decision re-derived.
+
+    *plan* (optional) is this pass's pop order from :func:`locbs_plan`,
+    computed by the caller under the same *graph*, *cluster*,
+    *allocation* and *options* (not checked); the pass then skips
+    computing priorities itself.
     """
     if base is not None:
         if base.sdag.base is not graph:
@@ -245,7 +302,7 @@ def locbs_schedule(
                 timeline.reserve([proc], 0.0, ready)
     schedule, vertex_weights, edge_weights, sdag_pseudo, reused = _locbs_pass(
         graph, cluster, allocation, timeline, options, context,
-        tracer or NULL_TRACER, cost_cache, provenance, base,
+        tracer or NULL_TRACER, cost_cache, provenance, base, plan,
     )
     sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
     for u, v in sdag_pseudo:
@@ -266,15 +323,18 @@ def _locbs_pass(
     cost_cache: Optional[CostCache],
     provenance: Optional[ProvenanceRecorder],
     base: Optional[SchedulingResult],
+    plan: Optional[Plan],
 ) -> Tuple[Schedule, Dict[str, float], Dict[Tuple[str, str], float],
            List[Tuple[str, str]], int]:
     """One Algorithm 2 pass placing *graph* into *timeline* (mutated).
 
+    Walks *plan* (the pass's pop order, planned here when ``None``).
     Returns the schedule in pop order, the schedule-DAG vertex and edge
     weights, the ``(blocker, task)`` pseudo-edge pairs and the reused count.
     """
-    alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
+    if plan is None:
+        plan = locbs_plan(graph, cluster, allocation, options, cache)
     inv = cache.graph_invariants(graph)
     if tracer.enabled:
         # Snapshot the (shared, cumulative) prune counters so the
@@ -283,27 +343,12 @@ def _locbs_pass(
         _ps = cache.stats
         probes_base = (_ps["probes_considered"], _ps["probes_bound_pruned"])
 
-    # Priorities (Algorithm 2, step 4): bottom level under the current
-    # allocation plus the heaviest inbound edge estimate. Both are fixed
-    # for the whole call, so they are computed once up front.
-    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
-    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
-    prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
-
     schedule = Schedule(cluster, scheduler="locbs")
     index = PlacementIndex()
     vertex_weights: Dict[str, float] = {}
     edge_weights: Dict[Tuple[str, str], float] = {}
     sdag_pseudo: List[Tuple[str, str]] = []
-
     preds = inv.preds
-    unplaced = set(graph.tasks())
-    placed_count: Dict[str, int] = {t: 0 for t in unplaced}
-    n_preds = {t: len(ps) for t, ps in preds.items()}
-    ready = ReadyQueue(prio)
-    for t in graph.tasks():
-        if n_preds[t] == 0:
-            ready.push(t)
 
     # The base's placements in pop order; ``reuse`` holds the next one
     # until the first mismatch, then stays None for the rest of the pass.
@@ -311,13 +356,8 @@ def _locbs_pass(
     reuse = next(prefix, None)
     reused = 0
 
-    while unplaced:
-        if not ready:
-            raise ScheduleError("no ready task but tasks remain: cyclic graph?")
-        tp = ready.pop()
-        unplaced.discard(tp)
-
-        if reuse is not None and reuse.name == tp and reuse.width == alloc[tp]:
+    for tp, np_t in plan:
+        if reuse is not None and reuse.name == tp and reuse.width == np_t:
             placement = reuse
             reuse = next(prefix, None)
             reused += 1
@@ -327,7 +367,7 @@ def _locbs_pass(
         else:
             reuse = None
             placement, comm_times, est_tp = _place_task(
-                tp, preds[tp], graph, cluster, alloc, cache, timeline, schedule,
+                tp, preds[tp], np_t, graph, cluster, cache, timeline, schedule,
                 options, context, tracer, provenance,
             )
             if provenance is not None and tracer.enabled:
@@ -368,11 +408,6 @@ def _locbs_pass(
                         dst=tp,
                         wait=occupied_from - est_tp,
                     )
-
-        for succ in inv.succs[tp]:
-            placed_count[succ] += 1
-            if placed_count[succ] == n_preds[succ] and succ in unplaced:
-                ready.push(succ)
 
     if tracer.enabled:
         tracer.event(
@@ -445,16 +480,16 @@ def splice_schedule(
     return list(_locbs_pass(
         graph, cluster, allocation, timeline, options,
         SchedulingContext(release_floor=release_floor), NULL_TRACER,
-        cost_cache, None, None,
+        cost_cache, None, None, None,
     )[0])
 
 
 def _place_task(
     tp: str,
     parents: Sequence[str],
+    np_t: int,
     graph: TaskGraph,
     cluster: Cluster,
-    alloc: Mapping[str, int],
     cache: CostCache,
     timeline: ProcessorTimeline,
     schedule: Schedule,
@@ -466,7 +501,7 @@ def _place_task(
     """Find the minimum-finish-time hole for *tp* (Algorithm 2, steps 5-16).
 
     *parents* is *tp*'s predecessor list (the caller holds it cached in the
-    graph invariants). *cache* prices the transfers and receives the
+    graph invariants) and *np_t* its width. *cache* prices the transfers and receives the
     probe counters in its ``stats``.
 
     Builds the parent info and the candidate ladder, runs the one hole
@@ -479,7 +514,6 @@ def _place_task(
     Returns the placement, the actual per-in-edge communication times, and
     ``est(tp)`` (the data-ready lower bound used for pseudo-edge detection).
     """
-    np_t = alloc[tp]
     et = graph.et(tp, np_t)
     parent_info: List[Tuple[str, Tuple[int, ...], float, float]] = []
     for u in parents:

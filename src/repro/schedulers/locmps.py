@@ -31,7 +31,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedulers.base import Scheduler, SchedulingResult, whole_width
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache
-from repro.schedulers.locbs import LocbsOptions, locbs_schedule
+from repro.schedulers.locbs import LocbsOptions, Plan, locbs_plan, locbs_schedule
 from repro.schedulers.provenance import ProvenanceRecorder
 
 __all__ = ["LocMpsScheduler"]
@@ -93,8 +93,12 @@ class LocMpsScheduler(Scheduler):
         on large graphs and long on-line rescheduling sessions can pin an
         unbounded number of full :class:`SchedulingResult` objects; set a
         limit to cap peak memory at the cost of re-scheduling evicted
-        allocations. Cumulative hit/miss/eviction statistics are exposed
-        on :attr:`memo_stats` and as ``memo_hit``/``memo_miss`` trace
+        allocations. The memoized passes also serve as prefix-reuse
+        bases: a trie over their ``(task, width)`` pop orders hands each
+        new pass the one sharing its longest prefix, and eviction prunes
+        the evicted pass from that trie, so the limit bounds it too.
+        Cumulative hit/miss/eviction statistics are exposed on
+        :attr:`memo_stats` and as ``memo_hit``/``memo_miss`` trace
         events.
     cost_cache_limit:
         Upper bound on the run-scoped :class:`CostCache`'s concrete
@@ -193,8 +197,8 @@ class LocMpsScheduler(Scheduler):
         #: cumulative allocation-memo telemetry across every run() of this
         #: instance: hits, misses, evictions, peak_size, last run's size,
         #: and the placements the LoCBS passes behind the misses copied
-        #: from their base pass (placements_reused) or hole-scanned
-        #: (placements_scanned)
+        #: from the memoized pass sharing their longest pop-order prefix
+        #: (placements_reused) or hole-scanned (placements_scanned)
         self.memo_stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0, "peak_size": 0, "size": 0,
             "placements_reused": 0, "placements_scanned": 0,
@@ -218,6 +222,13 @@ class LocMpsScheduler(Scheduler):
 
     # -- scheduling engine -------------------------------------------------------
 
+    def _options(self) -> LocbsOptions:
+        return LocbsOptions(
+            backfill=self.backfill,
+            comm_blind=self.comm_blind,
+            locality_blind=self.locality_blind,
+        )
+
     def _schedule(
         self,
         graph: TaskGraph,
@@ -225,17 +236,13 @@ class LocMpsScheduler(Scheduler):
         alloc: Mapping[str, int],
         provenance: Optional[ProvenanceRecorder] = None,
         base: Optional[SchedulingResult] = None,
+        plan: Optional[Plan] = None,
     ) -> SchedulingResult:
-        options = LocbsOptions(
-            backfill=self.backfill,
-            comm_blind=self.comm_blind,
-            locality_blind=self.locality_blind,
-        )
         return locbs_schedule(
-            graph, cluster, alloc, options,
+            graph, cluster, alloc, self._options(),
             context=self.context, tracer=self.tracer,
             cost_cache=self._cost_cache,
-            provenance=provenance, base=base,
+            provenance=provenance, base=base, plan=plan,
         )
 
     # -- candidate selection -------------------------------------------------------
@@ -419,12 +426,23 @@ class LocMpsScheduler(Scheduler):
         # per-run (keys are only unique for one graph/cluster pair);
         # ``memo_limit`` bounds how many full results it may pin at once.
         memo: Dict[Tuple[int, ...], SchedulingResult] = {}
+        # The memoized passes' pop orders: a pass's order is known before
+        # any hole scan, so the memoized pass sharing its longest prefix
+        # can be picked as the base that skips the most scans.
+        trie = _PassTrie()
         tracer = self.tracer
         stats = self.memo_stats
+        options = self._options()
 
-        def schedule_for(
-            alloc: Mapping[str, int], base: Optional[SchedulingResult] = None
-        ) -> SchedulingResult:
+        def prefix_reusing_pass(alloc: Mapping[str, int]) -> SchedulingResult:
+            plan = locbs_plan(
+                graph, cluster, alloc, options, cost_cache=self._cost_cache
+            )
+            return self._schedule(
+                graph, cluster, alloc, base=trie.deepest(plan), plan=plan
+            )
+
+        def schedule_for(alloc: Mapping[str, int]) -> SchedulingResult:
             key = tuple(alloc[t] for t in tasks)
             result = memo.get(key)
             if result is not None:
@@ -437,19 +455,21 @@ class LocMpsScheduler(Scheduler):
                 tracer.event("memo_miss", size=len(memo))
             if tracer.enabled:
                 with tracer.span("locbs_schedule"):
-                    result = self._schedule(graph, cluster, alloc, base=base)
+                    result = prefix_reusing_pass(alloc)
             else:
-                result = self._schedule(graph, cluster, alloc, base=base)
+                result = prefix_reusing_pass(alloc)
             stats["placements_reused"] += result.placements_reused
             stats["placements_scanned"] += (
                 len(result.schedule) - result.placements_reused
             )
             if self.memo_limit is not None and len(memo) >= self.memo_limit:
-                del memo[next(iter(memo))]  # FIFO: oldest allocation first
+                # FIFO: oldest allocation first, out of the trie as well
+                trie.remove_oldest(memo.pop(next(iter(memo))))
                 stats["evictions"] += 1
                 if tracer.enabled:
                     tracer.event("memo_evicted", size=len(memo))
             memo[key] = result
+            trie.insert(result)
             stats["peak_size"] = max(stats["peak_size"], len(memo))
             stats["size"] = len(memo)
             return result
@@ -538,9 +558,7 @@ class LocMpsScheduler(Scheduler):
                     if iter_cnt == 0:
                         entry = candidate
 
-                    # The pass this step widened from: its placements up
-                    # to the first pop the growth changes are reused.
-                    cur_result = schedule_for(alloc, base=cur_result)
+                    cur_result = schedule_for(alloc)
                     cur_sl = cur_result.makespan
                     improved = cur_sl < best_sl * (1.0 - _IMPROVE_RTOL)
                     if tracer.enabled:
@@ -592,6 +610,68 @@ class LocMpsScheduler(Scheduler):
             )
         best_result.schedule.scheduler = self.name
         return best_result
+
+
+class _TrieNode:
+    __slots__ = ("result", "children")
+
+    def __init__(self, result: Optional[SchedulingResult]) -> None:
+        #: the newest memoized pass whose pop order runs through this node
+        self.result = result
+        self.children: Dict[Tuple[str, int], "_TrieNode"] = {}
+
+
+class _PassTrie:
+    """The memoized LoCBS passes' pop orders, one level per ``(task, width)``.
+
+    Every node points at the newest pass whose order runs through it, so
+    the deepest node matching a new pass's order names a memoized pass
+    sharing the longest prefix with it. Passes leave oldest first (the
+    memo's FIFO eviction): a node the evicted pass shares with a live one
+    already points at that newer pass, and the first node on its path
+    that still points at it is reached by no live pass and is cut off
+    with its subtree. The trie thus never outlives the memo's references.
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self) -> None:
+        self._root = _TrieNode(None)
+
+    def deepest(self, order: Plan) -> Optional[SchedulingResult]:
+        """The pass sharing the longest prefix with *order* (None: none)."""
+        node = self._root
+        children = node.children
+        for step in order:
+            child = children.get(step)
+            if child is None:
+                break
+            node = child
+            children = child.children
+        return node.result
+
+    def insert(self, result: SchedulingResult) -> None:
+        """Add *result*, the newest pass."""
+        node = self._root
+        for placed in result.schedule:  # its pop order
+            step = (placed.name, placed.width)
+            child = node.children.get(step)
+            if child is None:
+                child = node.children[step] = _TrieNode(result)
+            else:
+                child.result = result
+            node = child
+
+    def remove_oldest(self, result: SchedulingResult) -> None:
+        """Drop *result*, the oldest pass in the trie."""
+        node = self._root
+        for placed in result.schedule:  # its pop order
+            step = (placed.name, placed.width)
+            child = node.children[step]
+            if child.result is result:
+                del node.children[step]
+                return
+            node = child
 
 
 def _check_same_schedule(

@@ -30,10 +30,12 @@ the seed scalar code preserved verbatim in
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,7 +76,7 @@ from repro.schedulers import (
 )
 from repro.schedulers.context import ExternalInput, SchedulingContext
 from repro.schedulers.costcache import CostCache
-from repro.schedulers.locbs import LocbsOptions, locbs_schedule
+from repro.schedulers.locbs import LocbsOptions, locbs_plan, locbs_schedule
 from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
 from repro.speedup import AmdahlSpeedup, ExecutionProfile
@@ -573,12 +575,13 @@ def _schedule_rows(schedule):
 
 def _reference_locbs(
     graph, cluster, allocation, options=LocbsOptions(), context=None,
-    tracer=None, cost_cache=None, provenance=None, base=None,
+    tracer=None, cost_cache=None, provenance=None, base=None, plan=None,
 ):
     """``locbs_schedule`` signature, served by the frozen reference scan.
 
-    *base* is ignored: the reference arm stays cold, so the differential
-    compares prefix reuse against full scans.
+    *base* and *plan* are ignored: the reference arm stays cold and plans
+    its own pop order, so the differential compares prefix reuse against
+    full scans.
     """
     return locbs_schedule_reference(
         graph, cluster, allocation, options, context=context, tracer=tracer
@@ -765,6 +768,33 @@ def _assert_same_pass(reused, cold):
     assert reused.sdag.pseudo_edges() == cold.sdag.pseudo_edges()
 
 
+def _pop_order(result):
+    return [(p.name, p.width) for p in result.schedule]
+
+
+def _common_prefix(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _record_passes(monkeypatch):
+    """Every LoCBS pass the LoC-MPS walk runs, with the allocation it got."""
+    calls = []
+
+    def recording(graph, cluster, allocation, options, **kwargs):
+        result = locbs_schedule(graph, cluster, allocation, options, **kwargs)
+        # the walk mutates its allocation dict after the call
+        calls.append((dict(allocation), options, kwargs.get("base"), result))
+        return result
+
+    monkeypatch.setattr(locmps, "locbs_schedule", recording)
+    return calls
+
+
 @st.composite
 def _reuse_case(draw):
     """A tight graph, a machine, a base allocation and one growth of it."""
@@ -832,6 +862,39 @@ class TestPrefixReuseDifferential:
         if grown == alloc:
             assert reused.placements_reused == graph.num_tasks
 
+    @given(
+        case=_reuse_case(),
+        backfill=st.booleans(),
+        overlap=st.booleans(),
+    )
+    @fuzz_settings
+    def test_non_parent_base_equals_cold_pass(self, case, backfill, overlap):
+        graph, procs, alloc, grown, context = case
+        cluster = Cluster(
+            num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        opts = LocbsOptions(backfill=backfill)
+        cache = CostCache(cluster)
+        # the base widens the parent's last-popped task instead, so it is
+        # no step of the walk that reached *grown*
+        last, width = locbs_plan(graph, cluster, alloc, opts)[-1]
+        other = dict(alloc)
+        other[last] = width % procs + 1
+        base = locbs_schedule(
+            graph, cluster, other, opts, context=context, cost_cache=cache
+        )
+        plan = locbs_plan(graph, cluster, grown, opts, cost_cache=cache)
+        reused = locbs_schedule(
+            graph, cluster, grown, opts, context=context, cost_cache=cache,
+            base=base, plan=plan,
+        )
+        cold = locbs_schedule(graph, cluster, grown, opts, context=context)
+        _assert_same_pass(reused, cold)
+        assert list(plan) == _pop_order(cold)
+        assert reused.placements_reused == _common_prefix(
+            plan, _pop_order(base)
+        )
+
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_identical_allocation_reuses_every_placement(self, workload):
         graph = WORKLOADS[workload]()
@@ -860,26 +923,81 @@ class TestPrefixReuseDifferential:
         self, workload, backfill, monkeypatch
     ):
         """Each base-fed pass of a real LoC-MPS walk, re-run cold."""
-        calls = []
-
-        def recording(graph, cluster, allocation, options, **kwargs):
-            result = locbs_schedule(graph, cluster, allocation, options, **kwargs)
-            if kwargs.get("base") is not None:
-                # the walk mutates its allocation dict after the call
-                calls.append((dict(allocation), options, result))
-            return result
-
-        monkeypatch.setattr(locmps, "locbs_schedule", recording)
+        calls = _record_passes(monkeypatch)
         graph = WORKLOADS[workload]()
         cluster = _cluster()
         LocMpsScheduler(look_ahead_depth=4, backfill=backfill).schedule(
             graph, cluster
         )
-        assert any(result.placements_reused for _, _, result in calls)
-        for alloc, options, result in calls:
+        fed = [c for c in calls if c[2] is not None]
+        assert any(result.placements_reused for *_, result in fed)
+        for alloc, options, _, result in fed:
             _assert_same_pass(
                 result, locbs_schedule(graph, cluster, alloc, options)
             )
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_memo_limited_walk_passes_equal_cold_passes(
+        self, workload, monkeypatch
+    ):
+        """Bases come only from the two live memo entries, never evicted ones."""
+        calls = _record_passes(monkeypatch)
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        sched = LocMpsScheduler(look_ahead_depth=4, memo_limit=2)
+        sched.schedule(graph, cluster)
+        assert sched.memo_stats["evictions"] > 0
+        fed = [c for c in calls if c[2] is not None]
+        assert any(result.placements_reused for *_, result in fed)
+        for alloc, options, _, result in fed:
+            _assert_same_pass(
+                result, locbs_schedule(graph, cluster, alloc, options)
+            )
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_evicted_results_are_freed(self, workload, monkeypatch):
+        """Under ``memo_limit`` no reuse index keeps an evicted pass alive."""
+        refs = []
+        live = []
+
+        def recording(graph, cluster, allocation, options, **kwargs):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in refs))
+            result = locbs_schedule(graph, cluster, allocation, options, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(locmps, "locbs_schedule", recording)
+        graph = WORKLOADS[workload]()
+        sched = LocMpsScheduler(look_ahead_depth=4, memo_limit=2)
+        result = sched.schedule(graph, _cluster())
+        assert sched.memo_stats["evictions"] > 0
+        # at any pass: the two memo entries plus the walk's current and
+        # committed results
+        assert max(live) <= 4
+        del result
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_each_pass_reuses_the_longest_memoized_prefix(
+        self, workload, backfill, monkeypatch
+    ):
+        """Brute force: the best base is the memoized pass sharing most pops."""
+        calls = _record_passes(monkeypatch)
+        graph = WORKLOADS[workload]()
+        LocMpsScheduler(
+            look_ahead_depth=4, backfill=backfill, memo_limit=None
+        ).schedule(graph, _cluster())
+        orders = [_pop_order(result) for *_, result in calls]
+        assert any(result.placements_reused for *_, result in calls)
+        for i, (*_, result) in enumerate(calls):
+            best = max(
+                (_common_prefix(orders[i], earlier) for earlier in orders[:i]),
+                default=0,
+            )
+            assert result.placements_reused == best, i
 
 
 class TestNoBackfillLadder:

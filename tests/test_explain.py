@@ -274,8 +274,10 @@ def _diverging_explain_pass(monkeypatch, corrupt):
     """Make the explaining (provenance) pass return a corrupted schedule."""
     original = LocMpsScheduler._schedule
 
-    def patched(self, graph, cluster, alloc, provenance=None, base=None):
-        result = original(self, graph, cluster, alloc, provenance, base)
+    def patched(
+        self, graph, cluster, alloc, provenance=None, base=None, plan=None
+    ):
+        result = original(self, graph, cluster, alloc, provenance, base, plan)
         if provenance is not None:
             corrupt(result.schedule)
         return result

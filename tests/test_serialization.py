@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import TaskGraph, load_graph, save_graph
-from repro.exceptions import GraphError, MissingFieldError
+from repro.exceptions import EdgeVolumeError, GraphError, MissingFieldError
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.speedup import (
     AmdahlSpeedup,
@@ -80,6 +80,13 @@ class TestErrors:
         # still a KeyError for callers that catch the old bare error
         assert isinstance(info.value, KeyError)
         assert isinstance(info.value, GraphError)
+
+    @pytest.mark.parametrize("volume", [-1.0, float("nan"), float("inf")])
+    def test_bad_edge_volume(self, volume):
+        doc = graph_to_dict(make_graph())
+        doc["edges"][0]["data_volume"] = volume
+        with pytest.raises(EdgeVolumeError, match="data_volume"):
+            graph_from_dict(doc)
 
     def test_missing_task_field(self):
         doc = graph_to_dict(make_graph())

@@ -3,7 +3,12 @@
 import pytest
 
 from repro import TaskGraph
-from repro.exceptions import CycleError, GraphError, UnknownTaskError
+from repro.exceptions import (
+    CycleError,
+    EdgeVolumeError,
+    GraphError,
+    UnknownTaskError,
+)
 from repro.speedup import ExecutionProfile, LinearSpeedup
 
 
@@ -73,6 +78,17 @@ class TestConstruction:
         g.add_task("B", profile())
         with pytest.raises(ValueError):
             g.add_edge("A", "B", -1.0)
+
+    @pytest.mark.parametrize("volume", [-1.0, float("nan"), float("inf")])
+    def test_bad_volume_raises_edge_volume_error(self, volume):
+        g = TaskGraph()
+        g.add_task("A", profile())
+        g.add_task("B", profile())
+        with pytest.raises(EdgeVolumeError, match="'A' -> 'B'") as info:
+            g.add_edge("A", "B", volume)
+        assert isinstance(info.value, GraphError)
+        assert isinstance(info.value, ValueError)
+        assert g.num_edges == 0
 
 
 class TestQueries:
