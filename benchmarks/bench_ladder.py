@@ -25,8 +25,8 @@ from repro.schedulers import get_scheduler
 from benchmarks.conftest import emit
 
 #: ladder prefix consumed per probe site — the order of magnitude the
-#: ``tau + et`` break leaves alive (BENCH_hotpath full-scale records ~10
-#: candidates entered per placement before the scan closes)
+#: ``tau + et`` break leaves alive (``benchmarks/bench_hotpath.py`` prints
+#: each input's priced and pruned probe counts)
 DEPTH = 4
 
 #: time-axis tilings of the base schedule: ladder lengths grow ~50 -> ~3000

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.exceptions import ClusterError
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
@@ -58,8 +59,13 @@ class Cluster:
     name: str = "cluster"
 
     def __post_init__(self) -> None:
-        check_positive_int(self.num_processors, "num_processors")
-        check_positive(self.bandwidth, "bandwidth")
+        # a non-int processor count or non-number bandwidth keeps its
+        # TypeError; a bad value becomes a ClusterError (a ValueError)
+        try:
+            check_positive_int(self.num_processors, "num_processors")
+            check_positive(self.bandwidth, "bandwidth")
+        except ValueError as err:
+            raise ClusterError(f"cluster {self.name!r}: {err}") from None
 
     @property
     def processors(self) -> Tuple[int, ...]:

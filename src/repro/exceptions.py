@@ -23,6 +23,7 @@ __all__ = [
     "ExperimentError",
     "SimulationError",
     "CacheError",
+    "ClusterError",
 ]
 
 
@@ -90,3 +91,8 @@ class SimulationError(ReproError):
 
 class CacheError(ReproError):
     """The schedule cache hit a corrupt entry or invalid configuration."""
+
+
+class ClusterError(ReproError, ValueError):
+    """A cluster has a non-positive processor count or a bandwidth that is
+    not a finite positive number."""

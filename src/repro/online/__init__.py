@@ -21,8 +21,8 @@ for streaming arrivals rather than the deviation-replay loop of
 * :mod:`repro.online.arrivals` — synthetic Poisson/Zipf job streams.
 
 ``python -m repro.online`` drives a replay from the command line;
-``python -m repro.perf online`` benchmarks the incremental-vs-cold
-speedup into ``BENCH_online.json``.
+the ``online`` workload of the benchmark in ``bench/``
+(``python bench/run.py``) measures the daemon's per-event latency.
 """
 
 from repro.online.admission import AdmissionDecision, AdmissionPolicy
@@ -35,7 +35,12 @@ from repro.online.placer import (
     IncrementalPlacer,
     PlacementResult,
 )
-from repro.online.swf import SwfJob, jobs_from_swf, parse_swf
+from repro.online.swf import (
+    SwfJob,
+    jobs_from_swf,
+    parse_swf,
+    synthetic_swf_text,
+)
 
 __all__ = [
     "AdmissionDecision",
@@ -55,4 +60,5 @@ __all__ = [
     "namespace_graph",
     "parse_swf",
     "poisson_zipf_stream",
+    "synthetic_swf_text",
 ]

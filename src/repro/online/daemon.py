@@ -25,7 +25,7 @@ Placement itself is the incremental splice of
 ``differential=True`` every placement is replayed by the
 :class:`~repro.online.placer.ColdRebuildPlacer` from an empty machine and
 the two arms' placements are compared **bit-exactly** — the correctness
-gate of the ``BENCH_online.json`` speedup claim (the cold arm's wall time
+gate of the incremental arm's speedup (the cold arm's wall time
 is kept out of the per-event latency numbers; it is the baseline, not
 part of the daemon's serving cost).
 
@@ -142,7 +142,7 @@ class OnlineDaemonReport:
         return percentile(self.cold_latencies, 50) / incr
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON rollup (the shape ``BENCH_online.json`` embeds)."""
+        """Plain-JSON rollup (what ``python -m repro.online --json`` writes)."""
         per_kind = {
             kind: latency_stats(vals)
             for kind, vals in sorted(self.event_latencies.items())

@@ -18,7 +18,7 @@ new job. Because the chart's sorted structures are content-determined
 arms must produce bit-identical placements on every event; the daemon's
 ``differential=True`` mode asserts exactly that, reusing the oracle
 pattern of ``tests/test_array_equivalence.py``. The cold arm is also the
-honest baseline the ``BENCH_online.json`` speedup is measured against:
+honest baseline the incremental arm is measured against:
 its per-event cost grows with history (it re-prices every historical
 hole scan), which is precisely what cold-starting LoCBS per event costs.
 

@@ -24,6 +24,9 @@ to one processor; the table's step-wise rule pins every width in
 ``[w, P]`` to runtime ``r``), with the allocation preset to ``w`` — the
 daemon's allocator is bypassed and the trace replays at its recorded
 widths, clamped to the target machine.
+
+:func:`synthetic_swf_text` renders a deterministic heavy-tailed trace in
+the same format, for replays and tests that need no archive file.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Union
 
 from repro.cluster import Cluster
-from repro.exceptions import ScheduleError
+from repro.exceptions import ScheduleError, WorkloadError
 from repro.graph import TaskGraph
 from repro.online.jobs import Job
 from repro.speedup import ExecutionProfile
+from repro.utils.rng import as_generator
 
-__all__ = ["SwfJob", "parse_swf", "jobs_from_swf"]
+__all__ = ["SwfJob", "parse_swf", "jobs_from_swf", "synthetic_swf_text"]
 
 
 @dataclass(frozen=True)
@@ -135,3 +139,48 @@ def jobs_from_swf(
             )
         )
     return jobs
+
+
+def synthetic_swf_text(
+    *, n_jobs: int, max_width: int, seed: int = 0, mean_interarrival: float = 45.0
+) -> str:
+    """A deterministic SWF trace: heavy-tailed rigid jobs.
+
+    Runtimes are lognormal (median ~5 min, occasional hour-long tails),
+    widths are powers of two up to *max_width* (small widths more
+    likely), inter-arrivals exponential. Rendered as real 18-field SWF
+    lines so the importer parses it exactly like an archive trace.
+    Raises :class:`WorkloadError` if *n_jobs* < 0 or *max_width* < 1.
+    """
+    if n_jobs < 0:
+        raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs!r}")
+    if max_width < 1:
+        raise WorkloadError(f"max_width must be >= 1, got {max_width!r}")
+    rng = as_generator(seed)
+    widths = []
+    w = 1
+    while w <= max_width:
+        widths.append(w)
+        w *= 2
+    lines = [
+        "; synthetic SWF trace (repro.online.swf)",
+        f"; MaxProcs: {max_width}",
+    ]
+    now = 0.0
+    for i in range(1, n_jobs + 1):
+        now += float(rng.exponential(mean_interarrival))
+        run_time = max(1.0, float(rng.lognormal(mean=5.7, sigma=1.0)))
+        # skew toward narrow jobs: rank k gets weight 1/(k+1)
+        u = float(rng.random())
+        acc, total = 0.0, sum(1.0 / (k + 1) for k in range(len(widths)))
+        width = widths[-1]
+        for k, cand in enumerate(widths):
+            acc += (1.0 / (k + 1)) / total
+            if u <= acc:
+                width = cand
+                break
+        lines.append(
+            f"{i} {now:.0f} 0 {run_time:.0f} {width} -1 -1 {width} "
+            f"-1 -1 1 1 1 1 1 1 -1 -1"
+        )
+    return "\n".join(lines) + "\n"

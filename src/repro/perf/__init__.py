@@ -1,15 +1,16 @@
-"""Performance harness: hot-path micro-benchmarks and golden fingerprints.
+"""Equivalence oracles, golden fingerprints and benchmark input shapes.
 
 Three pieces back the incremental scheduling engine:
 
 * :mod:`repro.perf.reference` — the naive pre-optimization implementations
   (sort-based ready queue, full-schedule blocker scan, uncached costs)
-  kept alive as the equivalence oracle and benchmark baseline;
-* :mod:`repro.perf.hotpath` — timed suites producing the machine-readable
-  ``BENCH_hotpath.json`` perf trajectory (``python -m repro.perf hotpath``);
+  kept alive as the equivalence oracle and timing baseline;
 * :mod:`repro.perf.golden` — exact makespan/placement fingerprints of every
   registered scheduler, guarding against schedule drift
   (``python -m repro.perf golden --check``);
+* :mod:`repro.perf.hotpath` and :mod:`repro.perf.cachebench` — the
+  ``wide_dag``/``deep_dag`` shapes and ``perturb_graph`` neighbours the
+  benchmark in ``bench/`` (``python bench/run.py``) is built from.
 """
 
 from repro.perf.golden import (
@@ -20,38 +21,23 @@ from repro.perf.golden import (
     schedule_digest,
     write_golden,
 )
-from repro.perf.hotpath import (
-    SuiteSpec,
-    build_suites,
-    deep_dag,
-    run_hotpath,
-    run_suite,
-    wide_dag,
-)
-from repro.perf.onlinebench import available_parallelism
+from repro.perf.hotpath import deep_dag, wide_dag
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
     scan_blockers,
 )
-from repro.perf.schema import BENCH_SCHEMA_VERSION
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "GOLDEN_PATH",
     "check_golden",
     "compute_golden",
     "golden_cases",
     "schedule_digest",
     "write_golden",
-    "SuiteSpec",
-    "build_suites",
     "deep_dag",
-    "run_hotpath",
-    "run_suite",
     "wide_dag",
     "ReferenceLocMpsScheduler",
-    "available_parallelism",
     "locbs_schedule_reference",
     "scan_blockers",
 ]

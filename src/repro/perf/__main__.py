@@ -1,4 +1,4 @@
-"""``python -m repro.perf`` — run the perf harness from the command line."""
+"""``python -m repro.perf`` — check the golden schedule fingerprints."""
 
 from repro.perf.cli import main
 

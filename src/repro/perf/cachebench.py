@@ -1,61 +1,17 @@
-"""Schedule-cache benchmarks → ``BENCH_cache.json``.
+"""Near-neighbour graphs for the schedule cache's warm-start path.
 
-Measures the three serving paths of :mod:`repro.cache` on the
-wide-synthetic P=64 acceptance suite (:func:`repro.perf.hotpath
-.build_suites`):
-
-``hit``
-    One cold LoC-MPS run populates the cache; repeated identical
-    requests are then served from the memory tier (and once from a
-    fresh process-equivalent cache, i.e. the disk tier). Every hit is
-    asserted **bit-identical** to the cold schedule via
-    :func:`repro.perf.golden.schedule_digest`; the report records the
-    cold-vs-hit latency ratio (``hit_speedup``, target >= 100x).
-``warm``
-    A near-neighbor graph (a few tasks' sequential times perturbed by
-    5%) is scheduled cold and via a graph-delta warm start seeded from
-    the cached original. Warm-start wall-clock — *including* the
-    neighbor scan and cache round-trip — is compared against the cold
-    LoC-MPS run on the same perturbed graph.
-``replay``
-    A Zipf-distributed submission stream over a pool of distinct
-    graphs, replayed through a capacity-limited two-tier cache: the
-    steady-state hit ratio under a realistic skewed workload,
-    exercising LRU eviction and disk promotion.
-
-The golden fingerprints are re-checked at the end — caching must never
-change what the schedulers themselves produce. Run ``python -m
-repro.perf cache`` (``--quick`` for the CI-sized variant) to
-regenerate.
+:func:`perturb_graph` builds the perturbed neighbours of the ``cache``
+workload of the benchmark in ``bench/`` (``python bench/run.py``), which
+imports it from here.
 """
 
 from __future__ import annotations
 
-import statistics
-import tempfile
-import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Optional
 
-from repro.cache import CachedScheduleService, ScheduleCache, scheme_config
-from repro.cluster import MYRINET_2GBPS, Cluster
 from repro.graph import TaskGraph, graph_from_dict, graph_to_dict
-from repro.perf.golden import GOLDEN_PATH, check_golden, schedule_digest
-from repro.perf.hotpath import build_suites, wide_dag
-from repro.perf.schema import BENCH_SCHEMA_VERSION
-from repro.schedulers.locmps import LocMpsScheduler
-from repro.utils.rng import as_generator
 
-__all__ = [
-    "SCHEMA",
-    "perturb_graph",
-    "run_hit_benchmark",
-    "run_warm_benchmark",
-    "run_zipf_replay",
-    "run_cachebench",
-]
-
-SCHEMA = "repro.perf.cachebench/v1"
+__all__ = ["perturb_graph"]
 
 
 def perturb_graph(
@@ -80,224 +36,3 @@ def perturb_graph(
             tdoc["sequential_time"] = float(tdoc["sequential_time"]) * factor
     doc["name"] = name or f"{doc.get('name', 'graph')}-perturbed"
     return graph_from_dict(doc)
-
-
-def _service(
-    cache_dir: Union[str, Path],
-    options: Optional[Dict[str, object]],
-    *,
-    capacity: int = 128,
-) -> CachedScheduleService:
-    cache = ScheduleCache(capacity=capacity, cache_dir=cache_dir)
-    return CachedScheduleService(
-        cache, scheme="locmps", scheduler_options=options
-    )
-
-
-def run_hit_benchmark(
-    graph: TaskGraph,
-    cluster: Cluster,
-    options: Optional[Dict[str, object]],
-    *,
-    repeats: int = 20,
-) -> Dict[str, object]:
-    """Cold run once, then serve the same request *repeats* times."""
-    with tempfile.TemporaryDirectory(prefix="cachebench-hit-") as tmp:
-        service = _service(tmp, options)
-        cold = service.schedule(graph, cluster)
-        cold_digest = schedule_digest(cold.schedule)
-        hit_latencies: List[float] = []
-        identical = cold.outcome == "cold"
-        for _ in range(repeats):
-            res = service.schedule(graph, cluster)
-            hit_latencies.append(res.latency_s)
-            identical = (
-                identical
-                and res.outcome == "hit"
-                and schedule_digest(res.schedule) == cold_digest
-            )
-        # a fresh cache over the same directory = another process
-        # arriving later: the first lookup must come from the disk tier
-        disk_service = _service(tmp, options)
-        disk_res = disk_service.schedule(graph, cluster)
-        identical = (
-            identical
-            and disk_res.outcome == "hit"
-            and disk_service.cache.stats["disk_hits"] == 1
-            and schedule_digest(disk_res.schedule) == cold_digest
-        )
-        hit_s = statistics.median(hit_latencies)
-        return {
-            "tasks": graph.num_tasks,
-            "processors": cluster.num_processors,
-            "config": scheme_config("locmps", options),
-            "repeats": repeats,
-            "cold_s": cold.latency_s,
-            "cold_makespan": cold.schedule.makespan,
-            "cold_digest": cold_digest,
-            "hit_s": hit_s,
-            "hit_min_s": min(hit_latencies),
-            "hit_max_s": max(hit_latencies),
-            "hit_disk_s": disk_res.latency_s,
-            "hit_speedup": cold.latency_s / hit_s if hit_s > 0 else float("inf"),
-            "bit_identical": identical,
-        }
-
-
-def run_warm_benchmark(
-    graph: TaskGraph,
-    cluster: Cluster,
-    options: Optional[Dict[str, object]],
-    *,
-    perturb_count: int = 3,
-    perturb_factor: float = 1.05,
-) -> Dict[str, object]:
-    """Cold vs warm-started LoC-MPS on a perturbed near-neighbor graph."""
-    perturbed = perturb_graph(
-        graph, count=perturb_count, factor=perturb_factor
-    )
-    # cold arm: plain scheduler, no cache anywhere near it
-    cold_sched = LocMpsScheduler(**dict(options or {}))
-    t0 = time.perf_counter()
-    cold_schedule = cold_sched.schedule(perturbed, cluster)
-    cold_s = time.perf_counter() - t0
-    # warm arm: cache primed with the *original* graph, then the
-    # perturbed one served through the neighbor-seeded service path
-    with tempfile.TemporaryDirectory(prefix="cachebench-warm-") as tmp:
-        service = _service(tmp, options)
-        base = service.schedule(graph, cluster)
-        warm = service.schedule(perturbed, cluster)
-        scheduler_stats = dict(service.cache.stats)
-    return {
-        "tasks": perturbed.num_tasks,
-        "processors": cluster.num_processors,
-        "perturbed_tasks": perturb_count,
-        "perturb_factor": perturb_factor,
-        "base_outcome": base.outcome,
-        "outcome": warm.outcome,  # "warm" iff the seed was bit-profitable
-        "delta": warm.delta,
-        "cold_s": cold_s,
-        "cold_sched_s": cold_schedule.scheduling_time,
-        "warm_s": warm.latency_s,  # includes neighbor scan + store
-        "warm_sched_s": warm.schedule.scheduling_time,
-        "warm_speedup": cold_s / warm.latency_s if warm.latency_s > 0 else float("inf"),
-        "warm_beats_cold": warm.latency_s < cold_s,
-        "cold_makespan": cold_schedule.makespan,
-        "warm_makespan": warm.schedule.makespan,
-        "cache_stats": scheduler_stats,
-    }
-
-
-def run_zipf_replay(
-    *,
-    num_graphs: int = 8,
-    num_tasks: int = 24,
-    processors: int = 16,
-    requests: int = 60,
-    zipf_a: float = 1.5,
-    capacity: int = 4,
-    seed: int = 2006,
-    options: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Replay a Zipf-skewed submission stream through a small cache.
-
-    ``capacity < num_graphs`` on purpose: the popular head of the
-    distribution lives in the memory LRU, the tail spills to disk and
-    gets promoted back — the steady-state shape of a real submission
-    front end.
-    """
-    rng = as_generator(seed)
-    pool = [
-        wide_dag(num_tasks, seed=100 + i, name=f"replay-{i}")
-        for i in range(num_graphs)
-    ]
-    cluster = Cluster(
-        num_processors=processors, bandwidth=MYRINET_2GBPS, name="replay"
-    )
-    indices = [int((z - 1) % num_graphs) for z in rng.zipf(zipf_a, requests)]
-    with tempfile.TemporaryDirectory(prefix="cachebench-zipf-") as tmp:
-        service = _service(tmp, options, capacity=capacity)
-        wall = 0.0
-        for idx in indices:
-            res = service.schedule(pool[idx], cluster)
-            wall += res.latency_s
-        snap = service.snapshot()
-    distinct = len(set(indices))
-    return {
-        "num_graphs": num_graphs,
-        "tasks_per_graph": num_tasks,
-        "processors": processors,
-        "requests": requests,
-        "distinct_requested": distinct,
-        "zipf_a": zipf_a,
-        "capacity": capacity,
-        "seed": seed,
-        "wall_s": wall,
-        "hit_ratio": snap["hits"] / requests if requests else 0.0,
-        "best_possible_hit_ratio": (
-            (requests - distinct) / requests if requests else 0.0
-        ),
-        "stats": snap,
-    }
-
-
-def run_cachebench(
-    *,
-    scale: str = "full",
-    golden_path: Union[str, Path] = GOLDEN_PATH,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, object]:
-    """Run every section and return the full ``BENCH_cache.json`` document."""
-    spec = build_suites(scale)[0]  # wide-synthetic-P64, the acceptance suite
-    graph = spec.graph_factory()[0]
-    options = dict(spec.scheduler_kwargs or {})
-    quick = scale == "quick"
-
-    if progress is not None:
-        progress(f"hit benchmark: {spec.name} (cold run, then hits) ...")
-    hit = run_hit_benchmark(graph, spec.cluster, options)
-
-    if progress is not None:
-        progress("warm-start benchmark: perturbed neighbor vs cold ...")
-    warm = run_warm_benchmark(graph, spec.cluster, options)
-
-    if progress is not None:
-        progress("zipf replay ...")
-    replay = run_zipf_replay(
-        num_graphs=6 if quick else 10,
-        num_tasks=16 if quick else 32,
-        requests=40 if quick else 120,
-        capacity=3 if quick else 5,
-    )
-
-    if progress is not None:
-        progress("checking golden fingerprints ...")
-    golden_problems = check_golden(golden_path)
-
-    return {
-        "schema": SCHEMA,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "scale": scale,
-        "suite": spec.name,
-        "methodology": (
-            "hit: one cold LoC-MPS run through CachedScheduleService "
-            "populates the two-tier cache; the identical request is then "
-            "served repeatedly from memory (median latency = hit_s) and "
-            "once through a fresh cache over the same directory (disk "
-            "tier, hit_disk_s). Every hit's placement digest must equal "
-            "the cold run's (bit_identical); hit_speedup = cold_s / "
-            "hit_s. warm: the same graph with a few sequential times "
-            "perturbed is scheduled cold (plain LocMpsScheduler) and via "
-            "the neighbor-seeded warm-start path; warm_s includes the "
-            "neighbor scan and cache round-trip. replay: a Zipf stream "
-            "over distinct graphs through a capacity-limited cache; "
-            "hit_ratio counts served-from-cache requests. Golden "
-            "fingerprints are re-checked afterwards — caching must not "
-            "change scheduler output."
-        ),
-        "hit": hit,
-        "warm": warm,
-        "replay": replay,
-        "golden_identical": not golden_problems,
-        "golden_problems": golden_problems,
-    }

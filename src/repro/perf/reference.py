@@ -31,9 +31,10 @@ shortcuts *provably* schedule-preserving rather than just plausibly so.
 
 Property tests (``tests/test_perf_equivalence.py``) and the differential
 battery (``tests/test_array_equivalence.py``) assert fast == naive on
-randomized inputs, and the ``BENCH_hotpath.json`` harness
-(:mod:`repro.perf.hotpath`) times optimized vs. reference to report the
-speedup.
+randomized inputs, and ``benchmarks/bench_hotpath.py`` times optimized
+vs. reference on the ``wide``/``deep``/Strassen/CCSD T1 inputs and
+asserts equal schedule digests. Per-workload performance is measured
+by the benchmark in ``bench/`` (``python bench/run.py``).
 """
 
 from __future__ import annotations
@@ -399,7 +400,7 @@ class ReferenceLocMpsScheduler(LocMpsScheduler):
     The outer allocation walk is byte-for-byte the production one (it is
     inherited), so any schedule difference against :class:`LocMpsScheduler`
     isolates the incremental engine. Used by the equivalence tests and as
-    the baseline arm of the ``BENCH_hotpath.json`` harness.
+    the baseline arm of ``benchmarks/bench_hotpath.py``.
     """
 
     name = "locmps-reference"

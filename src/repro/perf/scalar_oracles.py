@@ -22,7 +22,8 @@ lists, and volume matrices. The hypothesis suites fuzz the same pairings
 on randomized inputs.
 
 Nothing here is exported through the public API; scalar oracles exist only
-for differential testing and the ``BENCH_hotpath.json`` reference arm.
+for differential testing and the reference arm of
+``benchmarks/bench_hotpath.py``.
 These oracles stay frozen on purpose: consumers built on them (the
 reference scheduler arm, the equivalence batteries) must never inherit the
 production scan's shortcuts (the lazy ladder), or the

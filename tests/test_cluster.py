@@ -1,5 +1,7 @@
 """Cluster model."""
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -8,6 +10,7 @@ from repro.cluster import (
     GIGABIT_ETHERNET,
     MYRINET_2GBPS,
 )
+from repro.exceptions import ClusterError
 
 
 class TestConstruction:
@@ -24,6 +27,27 @@ class TestConstruction:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             Cluster(num_processors=2, bandwidth=0.0)
+
+    def test_zero_processors_raise_cluster_error(self):
+        with pytest.raises(ClusterError, match="num_processors must be >= 1"):
+            Cluster(0)
+
+    def test_zero_bandwidth_raises_cluster_error(self):
+        with pytest.raises(ClusterError, match="bandwidth must be > 0"):
+            Cluster(4, bandwidth=0)
+
+    def test_nan_bandwidth_raises_cluster_error(self):
+        with pytest.raises(ClusterError, match="bandwidth must be finite"):
+            Cluster(4, bandwidth=math.nan)
+
+    def test_infinite_bandwidth_raises_cluster_error(self):
+        with pytest.raises(ClusterError, match="bandwidth must be finite"):
+            Cluster(4, bandwidth=math.inf)
+
+    def test_non_int_processors_keep_type_error(self):
+        with pytest.raises(TypeError) as info:
+            Cluster(4.0)
+        assert not isinstance(info.value, ClusterError)
 
     def test_frozen(self):
         c = Cluster(num_processors=2)

@@ -19,7 +19,7 @@ import math
 import pytest
 
 from repro import Cluster, TaskGraph, Tracer
-from repro.exceptions import ScheduleError
+from repro.exceptions import ScheduleError, WorkloadError
 from repro.obs.dashboard import render_dashboard
 from repro.obs.registry import registry_from_events
 from repro.online import (
@@ -37,6 +37,7 @@ from repro.online import (
     namespace_graph,
     parse_swf,
     poisson_zipf_stream,
+    synthetic_swf_text,
 )
 from repro.online.daemon import latency_stats, percentile
 from repro.schedule import ProcessorTimeline
@@ -198,6 +199,26 @@ class TestSwf:
     def test_max_jobs_truncates(self):
         jobs = jobs_from_swf(self.TRACE, Cluster(16), max_jobs=1)
         assert len(jobs) == 1
+
+    def test_synthetic_trace_round_trips(self):
+        text = synthetic_swf_text(n_jobs=30, max_width=16, seed=7)
+        assert text == synthetic_swf_text(n_jobs=30, max_width=16, seed=7)
+        recs = parse_swf(text)
+        assert [r.job_id for r in recs] == [str(i) for i in range(1, 31)]
+        assert {r.processors for r in recs} <= {1, 2, 4, 8, 16}
+        submits = [r.submit for r in recs]
+        assert submits == sorted(submits)
+
+    def test_synthetic_trace_without_jobs_is_header_only(self):
+        assert parse_swf(synthetic_swf_text(n_jobs=0, max_width=1)) == []
+
+    def test_synthetic_trace_rejects_zero_max_width(self):
+        with pytest.raises(WorkloadError, match="max_width"):
+            synthetic_swf_text(n_jobs=2, max_width=0)
+
+    def test_synthetic_trace_rejects_negative_job_count(self):
+        with pytest.raises(WorkloadError, match="n_jobs"):
+            synthetic_swf_text(n_jobs=-1, max_width=4)
 
 
 def _probe_counts(cache: CostCache):
@@ -392,6 +413,40 @@ class TestDaemon:
         ):
             assert key in doc
         assert doc["median_speedup"] is None or doc["median_speedup"] > 0
+
+    @pytest.mark.parametrize(
+        "suite",
+        ["poisson-zipf", "swf-replay"],
+    )
+    def test_quick_replay_suite_differential(self, suite):
+        """The two replay suites at their CI size, differential and verify
+        on: every placement bit-identical across arms, every job placed,
+        and the incremental arm prices strictly fewer candidate holes."""
+        if suite == "poisson-zipf":
+            cluster = Cluster(16, bandwidth=1e8)
+            jobs = poisson_zipf_stream(n_jobs=40, rate=0.05, seed=2006)
+            admission = AdmissionPolicy(max_backlog=4000.0)
+        else:
+            cluster = Cluster(32, bandwidth=1e8)
+            jobs = jobs_from_swf(
+                synthetic_swf_text(
+                    n_jobs=80, max_width=32, seed=1993, mean_interarrival=60.0
+                ),
+                cluster,
+            )
+            admission = AdmissionPolicy(max_backlog=50000.0)
+        report = OnlineSchedulerDaemon(
+            cluster, admission=admission, differential=True, verify=True
+        ).run(jobs)
+        probes = report.probes
+        print(
+            f"{suite}: placed {report.placed}/{len(jobs)}, probes "
+            f"incremental {probes['incremental']} vs cold {probes['cold']}"
+        )
+        assert report.identical, report.mismatches
+        assert report.mismatches == []
+        assert report.placed == len(jobs)
+        assert probes["incremental"] < probes["cold"], probes
 
     def test_allocator_memoized_per_template(self):
         tmpl = small_template()

@@ -4,8 +4,6 @@ Under test:
 
 * every registered scheduler must survive a pickle round-trip (the
   contract that lets sweeps ship schedulers across process boundaries);
-* ``available_parallelism`` must size pools by the affinity mask, not the
-  machine's core count;
 * ``run_comparison(workers=N, tracer=...)`` must stream cells through the
   warm pool and merge every worker's spooled trace events exactly once.
 """
@@ -13,7 +11,6 @@ Under test:
 from __future__ import annotations
 
 import collections
-import os
 import pickle
 
 import pytest
@@ -23,7 +20,6 @@ from repro.exceptions import ExperimentError
 from repro.experiments.common import run_comparison
 from repro.obs import SpoolTracer, Tracer, merge_spool_dir
 from repro.parallel import SchedulerPool, default_chunksize
-from repro.perf import available_parallelism
 from repro.perf.golden import schedule_digest
 from repro.schedulers import get_scheduler
 from repro.schedulers.registry import SCHEDULERS
@@ -77,23 +73,6 @@ class TestSchedulerPool:
         assert default_chunksize(0, 4) == 1
         assert default_chunksize(8, 2) == 1
         assert default_chunksize(100, 4) == 7
-
-
-class TestAvailableParallelism:
-    def test_counts_the_affinity_mask(self, monkeypatch):
-        # a container pinned to 3 of 64 cores must size its pools for 3
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert available_parallelism() == 3
-
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert available_parallelism() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert available_parallelism() == 1
 
 
 # -- spool merge -----------------------------------------------------------------

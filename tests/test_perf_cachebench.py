@@ -1,15 +1,8 @@
-"""Cache benchmark harness."""
+"""Perturbed near-neighbour graphs for the cache's warm-start path."""
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.perf.cachebench import (
-    perturb_graph,
-    run_hit_benchmark,
-    run_warm_benchmark,
-    run_zipf_replay,
-)
-from repro.perf.golden import schedule_digest
+from repro.perf.cachebench import perturb_graph
 
 from tests.helpers import build_random_graph
 
@@ -43,47 +36,3 @@ class TestPerturbGraph:
             2.0 * g.task(t).profile.sequential_time
         )
 
-
-class TestBenchmarks:
-    cluster = Cluster(num_processors=4, bandwidth=12.5e6)
-
-    def test_hit_benchmark_bit_identical(self):
-        g = build_random_graph(8, seed=4)
-        rec = run_hit_benchmark(g, self.cluster, None, repeats=3)
-        assert rec["bit_identical"] is True
-        assert rec["cold_s"] > 0
-        assert rec["hit_s"] > 0
-        assert rec["hit_speedup"] == rec["cold_s"] / rec["hit_s"]
-
-    def test_warm_benchmark_reports_outcome(self):
-        g = build_random_graph(10, seed=5)
-        rec = run_warm_benchmark(g, self.cluster, None, perturb_count=2)
-        assert rec["outcome"] in ("warm", "cold")
-        assert rec["base_outcome"] == "cold"
-        assert rec["cold_s"] > 0 and rec["warm_s"] > 0
-        assert rec["perturbed_tasks"] == 2
-        # the perturbed graph's schedules are real schedules either way
-        assert rec["cold_makespan"] > 0 and rec["warm_makespan"] > 0
-
-    def test_zipf_replay_hit_ratio(self):
-        rec = run_zipf_replay(
-            num_graphs=3, num_tasks=8, processors=4,
-            requests=12, capacity=2, seed=7,
-        )
-        assert rec["stats"]["requests"] == 12
-        assert 0.0 <= rec["hit_ratio"] <= rec["best_possible_hit_ratio"]
-        # a skewed stream over 3 graphs must repeat something
-        assert rec["hit_ratio"] > 0
-        assert rec["distinct_requested"] <= 3
-
-    def test_zipf_replay_deterministic_indices(self):
-        a = run_zipf_replay(
-            num_graphs=3, num_tasks=8, processors=4,
-            requests=12, capacity=2, seed=7,
-        )
-        b = run_zipf_replay(
-            num_graphs=3, num_tasks=8, processors=4,
-            requests=12, capacity=2, seed=7,
-        )
-        assert a["hit_ratio"] == b["hit_ratio"]
-        assert a["distinct_requested"] == b["distinct_requested"]

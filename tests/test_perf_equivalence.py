@@ -349,3 +349,17 @@ def test_registry_matches_golden_file():
         "golden file missing; run: python -m repro.perf golden --write"
     )
     assert check_golden() == []
+
+
+def test_perf_cli_requires_a_subcommand(capsys):
+    """``python -m repro.perf`` with no subcommand prints usage, exits 2."""
+    from repro.perf.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main([])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    for retired in ("hotpath", "cache", "online"):
+        with pytest.raises(SystemExit) as info:
+            main([retired])
+        assert info.value.code == 2
