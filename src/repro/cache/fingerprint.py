@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Mapping
 
 from repro.cluster import Cluster
@@ -137,9 +138,13 @@ class RequestKey:
     cluster_fp: str
     config_fp: str
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """The combined content address (what names the disk entry)."""
+        """The combined content address (what names the disk entry).
+
+        Computed on first access and kept on the key: the service and the
+        store each read it for every request.
+        """
         return _digest(
             {
                 "schema": FINGERPRINT_SCHEMA,

@@ -15,6 +15,7 @@ __all__ = [
     "MissingFieldError",
     "EdgeVolumeError",
     "ProfileError",
+    "InvalidProfileError",
     "AllocationError",
     "ScheduleError",
     "ValidationError",
@@ -59,6 +60,12 @@ class EdgeVolumeError(GraphError, ValueError):
 
 class ProfileError(ReproError):
     """An execution-time profile or speedup model is ill-formed."""
+
+
+class InvalidProfileError(ProfileError, ValueError):
+    """A profile or speedup-model parameter is out of range: a NaN,
+    infinite, zero or negative time, or a model parameter outside its
+    domain. Checked once at construction, so queries need not re-check."""
 
 
 class AllocationError(ReproError):

@@ -7,20 +7,21 @@ of this augmented DAG is the longest chain in the actual schedule, and is
 what the LoC-MPS allocation loop shortens each iteration (paper Fig 1).
 
 The graph is stored as plain dict adjacency rather than a
-:class:`networkx.DiGraph`: one ``G'`` is built per LoCBS run and its
-critical path re-queried on every look-ahead step, which made the
-generic-graph overhead (attribute dicts per edge, view objects per
-traversal) a measurable slice of scheduling wall-clock. The critical path
-is cached per instance — pseudo-edge insertion invalidates it — and the
-level/walk arithmetic replicates :mod:`repro.graph.dag_ops` operation for
-operation, so the path is bit-identical to running
+:class:`networkx.DiGraph`: one ``G'`` is built per LoCBS run the
+look-ahead analyses and its critical path re-queried on every step,
+which made the generic-graph overhead (attribute dicts per edge, view
+objects per traversal) a measurable slice of scheduling wall-clock. The
+critical path is cached per instance — pseudo-edge insertion invalidates
+it — and the level/walk arithmetic replicates :mod:`repro.graph.dag_ops`
+operation for operation, so the path is bit-identical to running
 :func:`repro.graph.dag_ops.critical_path` on the equivalent
 :class:`networkx.DiGraph` (property-tested in ``tests/test_pseudo.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+import math
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -91,6 +92,39 @@ class ScheduleDAG:
             return
         if self._has_path(dst, src):
             raise CycleError(f"pseudo-edge {src!r} -> {dst!r} would create a cycle")
+        self._link(src, dst)
+
+    def add_pseudo_edges(
+        self, pairs: Iterable[Tuple[str, str]], order: Sequence[str]
+    ) -> None:
+        """:meth:`add_pseudo_edge` for each ``(src, dst)`` of *pairs*, in turn.
+
+        *order* must be a topological order of the current edges (checked
+        once; :class:`GraphError` otherwise). A pair running forward in it
+        cannot close a cycle, so it skips the reachability search. Any
+        other pair goes through :meth:`add_pseudo_edge`, and once one of
+        them is added *order* no longer covers the edges, so the pairs
+        after it do too. LoCBS records ``(blocker, task)`` pairs with the
+        blocker placed first, so in its pop order every pair runs forward.
+        """
+        pos: Optional[Dict[str, int]] = {t: i for i, t in enumerate(order)}
+        if len(pos) != len(order) or pos.keys() != self._vw.keys():
+            raise GraphError("order does not list every task of G' once")
+        if any(pos[u] >= pos[v] for u, v in self._ps):
+            raise GraphError("order is not a topological order of G'")
+        ps = self._ps
+        for src, dst in pairs:
+            if pos is not None and pos.get(src, math.inf) < pos.get(dst, -1):
+                if (src, dst) not in ps:
+                    self._link(src, dst)
+                continue
+            n_edges = len(ps)
+            self.add_pseudo_edge(src, dst)
+            if len(ps) != n_edges:
+                pos = None
+
+    def _link(self, src: str, dst: str) -> None:
+        """Insert the pseudo-edge ``src -> dst`` (already checked)."""
         self._succ[src].append(dst)
         self._pred[dst].append(src)
         self._ew[(src, dst)] = 0.0

@@ -63,6 +63,7 @@ class TaskGraph:
         self.name = name
         self._g: nx.DiGraph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
+        self._revision = 0
 
     # -- construction ----------------------------------------------------------
 
@@ -83,6 +84,7 @@ class TaskGraph:
         task = Task(name=name, profile=profile, attrs=dict(attrs))
         self._tasks[name] = task
         self._g.add_node(name)
+        self._revision += 1
         return task
 
     def add_edge(self, src: str, dst: str, data_volume: float = 0.0) -> None:
@@ -107,6 +109,7 @@ class TaskGraph:
         if nx.has_path(self._g, dst, src):
             raise CycleError(f"edge {src!r} -> {dst!r} would create a cycle")
         self._g.add_edge(src, dst, data_volume=float(data_volume))
+        self._revision += 1
 
     # -- queries ---------------------------------------------------------------
 
@@ -132,6 +135,16 @@ class TaskGraph:
     @property
     def num_edges(self) -> int:
         return self._g.number_of_edges()
+
+    @property
+    def revision(self) -> int:
+        """Count of successful :meth:`add_task` and :meth:`add_edge` calls.
+
+        The graph is append-only, so the pair ``(graph, revision)`` names
+        one state of it; memos keyed by it are checked in O(1) (counting
+        edges walks every node through networkx).
+        """
+        return self._revision
 
     def task(self, name: str) -> Task:
         """The :class:`Task` object for *name* (raises if unknown)."""

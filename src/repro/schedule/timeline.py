@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.exceptions import ScheduleError
@@ -184,6 +186,68 @@ class ProcessorTimeline:
             ):
                 self._eps_chain = True
             eu.insert(i, end)
+
+    def reserve_many(
+        self, spans: Iterable[Tuple[Iterable[int], float, float]]
+    ) -> None:
+        """:meth:`reserve` each ``(procs, start, end)`` span, in one load.
+
+        Leaves the chart as the sequential :meth:`reserve` calls would,
+        including rows that already hold spans: every touched row and the
+        global lists are re-sorted once, and ``counts_exact`` and the
+        release-time fast path (the EPS-overlap and EPS-chain flags)
+        come out as the sequential calls would set them. Zero-length spans
+        are ignored. A span that :meth:`reserve` would reject — one
+        overlapping another beyond the ``EPS`` tolerance — raises
+        :class:`~repro.exceptions.ScheduleError` before any row is touched
+        (the tolerance comparisons are :meth:`reserve`'s, taken in start
+        order).
+        """
+        row_of = self._row
+        #: touched row -> (its starts, its ends), existing and new, unsorted
+        rows: Dict[int, Tuple[List[float], List[float]]] = {}
+        new_starts: List[float] = []
+        new_ends: List[float] = []
+        for procs, start, end in spans:
+            if end - start <= EPS:
+                continue
+            for p in procs:
+                r = row_of[p]
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = (self._starts_l[r][:], self._ends_l[r][:])
+                row[0].append(start)
+                row[1].append(end)
+                new_starts.append(start)
+                new_ends.append(end)
+        overlap = self._eps_overlap
+        # Spans of one row cannot nest without conflicting, so sorting the
+        # starts and the ends separately keeps each span's pair aligned,
+        # and a conflict anywhere shows up between neighbours.
+        for r, (sl, el) in rows.items():
+            sl.sort()
+            el.sort()
+            for prev_end, start in zip(el, islice(sl, 1, None)):
+                if prev_end > start + EPS:
+                    raise ScheduleError(
+                        f"processor {self._procs[r]} already busy at {start:g}"
+                    )
+                if prev_end > start:
+                    overlap = True
+        for r, (sl, el) in rows.items():
+            self._starts_l[r] = sl
+            self._ends_l[r] = el
+            self._counts[r] = len(sl)
+        self._eps_overlap = overlap
+        self._all_starts.extend(new_starts)
+        self._all_starts.sort()
+        self._all_ends.extend(new_ends)
+        self._all_ends.sort()
+        eu = self._ends_unique = sorted({*self._ends_unique, *new_ends})
+        if not self._eps_chain:
+            # a chain shows up between neighbouring distinct release times
+            gaps = map(sub, islice(eu, 1, None), eu)
+            self._eps_chain = min(gaps, default=math.inf) <= EPS
 
     def _fits(self, proc: int, start: float, end: float) -> bool:
         """True if ``[start, end)`` overlaps no busy interval of *proc*."""

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
 from repro.exceptions import AllocationError
@@ -18,21 +17,64 @@ from repro.schedule import Schedule
 __all__ = ["Scheduler", "SchedulingResult", "clamp_allocation", "edge_cost_map"]
 
 
-@dataclass
 class SchedulingResult:
     """What a scheduler returns: the schedule and the schedule-DAG ``G'``.
+
+    Most schedulers pass a ready-built ``sdag``. A LoCBS pass passes
+    ``graph`` and ``pseudo_edges`` instead — its ``(blocker, task)``
+    pairs in the schedule's pop order — and ``G'`` is built from them on
+    the first read of :attr:`sdag`: vertex weights are the placements'
+    computation times, edge weights the schedule's transfer times. Many
+    look-ahead passes are never analysed, so they never pay for the
+    build.
 
     ``placements_reused`` counts the leading placements a LoCBS pass copied
     from its ``base`` pass instead of scanning for them (0 for cold passes).
     """
 
-    schedule: Schedule
-    sdag: ScheduleDAG
-    placements_reused: int = 0
+    def __init__(
+        self,
+        schedule: Schedule,
+        sdag: Optional[ScheduleDAG] = None,
+        placements_reused: int = 0,
+        *,
+        graph: Optional[TaskGraph] = None,
+        pseudo_edges: Sequence[Tuple[str, str]] = (),
+    ) -> None:
+        if sdag is None and graph is None:
+            raise TypeError("SchedulingResult needs an sdag or a graph")
+        self.schedule = schedule
+        self.placements_reused = placements_reused
+        #: the application graph ``G`` the schedule covers
+        self.graph: TaskGraph = graph if graph is not None else sdag.base
+        #: ``(blocker, task)`` pseudo-edge pairs in pop order (LoCBS passes)
+        self.pseudo_edges = pseudo_edges
+        self._sdag = sdag
+
+    @property
+    def sdag(self) -> ScheduleDAG:
+        """``G'``, built on first access when the result was given none."""
+        if self._sdag is None:
+            schedule = self.schedule
+            self._sdag = ScheduleDAG(
+                self.graph,
+                {p.name: p.exec_duration for p in schedule},
+                schedule.edge_comm_times,
+            )
+            self._sdag.add_pseudo_edges(
+                self.pseudo_edges, [p.name for p in schedule]
+            )
+        return self._sdag
 
     @property
     def makespan(self) -> float:
         return self.schedule.makespan
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"SchedulingResult(schedule={self.schedule!r}, "
+            f"placements_reused={self.placements_reused})"
+        )
 
 
 class Scheduler(abc.ABC):

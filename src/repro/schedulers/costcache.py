@@ -38,6 +38,7 @@ from repro.exceptions import CycleError
 from repro.graph import TaskGraph
 from repro.redistribution import RedistributionModel
 from repro.redistribution.cost import estimate_edge_cost
+from repro.speedup import ExecutionProfile
 
 __all__ = ["CostCache", "GraphInvariants"]
 
@@ -49,15 +50,17 @@ class GraphInvariants:
     """Allocation-independent structure of one task graph, computed once.
 
     Every LoCBS call needs a topological order (bottom levels), the
-    predecessor lists (priorities, parent lookups) and the successor lists
-    (ready-queue updates). None of these depend on the allocation, yet the
-    seed code re-derived them through networkx traversals on every
-    look-ahead step. The tuples here are snapshots of the exact iteration
-    order networkx produced, so computations running over them are
-    bit-identical to the uncached originals.
+    predecessor lists (priorities, parent lookups), the successor lists
+    (ready-queue updates), the edge volumes (cost estimates, transfer
+    pricing) and the tasks' execution profiles. None of these depend on
+    the allocation, yet the seed code re-derived them through networkx
+    traversals on every look-ahead step. The containers here are
+    snapshots of the exact iteration order networkx produced, so
+    computations running over them are bit-identical to the uncached
+    originals.
     """
 
-    __slots__ = ("order", "preds", "succs")
+    __slots__ = ("order", "preds", "succs", "volumes", "profiles")
 
     def __init__(self, graph: TaskGraph) -> None:
         g = graph.nx_graph()
@@ -74,6 +77,14 @@ class GraphInvariants:
         }
         self.succs: Dict[str, Tuple[str, ...]] = {
             t: tuple(g.successors(t)) for t in g.nodes
+        }
+        #: every edge with its data volume, in ``graph.edges()`` order
+        self.volumes: Dict[Tuple[str, str], float] = {
+            (u, v): vol for u, v, vol in g.edges(data="data_volume")
+        }
+        #: each task's execution-time profile
+        self.profiles: Dict[str, ExecutionProfile] = {
+            t: graph.task(t).profile for t in graph.tasks()
         }
 
 
@@ -111,32 +122,31 @@ class CostCache:
         #: per graph edge: endpoint widths -> allocation-time estimate
         self._edge_memo: Dict[Tuple[str, str], Dict[Tuple[int, int], float]] = {}
         self._transfer_memo: Dict[_TransferKey, float] = {}
-        #: graph object id -> (graph ref, (num_tasks, num_edges), invariants)
-        self._graph_memo: Dict[
-            int, Tuple[TaskGraph, Tuple[int, int], GraphInvariants]
-        ] = {}
+        #: graph object id -> (graph ref, graph revision, invariants)
+        self._graph_memo: Dict[int, Tuple[TaskGraph, int, GraphInvariants]] = {}
         self.transfer_limit = transfer_limit
         self.stats: Dict[str, int] = dict.fromkeys(self.STAT_KEYS, 0)
 
     # -- allocation-independent graph structure ------------------------------------
 
     def graph_invariants(self, graph: TaskGraph) -> GraphInvariants:
-        """Topological order and pred/succ lists of *graph*, memoized.
+        """The :class:`GraphInvariants` of *graph*, memoized.
 
-        Keyed by the graph object plus its ``(num_tasks, num_edges)``
-        size: :class:`~repro.graph.TaskGraph` is append-only, so any
-        mutation changes the size and invalidates the entry. The graph is
-        kept referenced so the ``id`` key cannot be recycled.
+        Keyed by the graph object plus its
+        :attr:`~repro.graph.TaskGraph.revision`: the graph is
+        append-only, so any mutation bumps the revision and invalidates
+        the entry, and the check is O(1). The graph is kept referenced so
+        the ``id`` key cannot be recycled.
         """
         key = id(graph)
-        size = (graph.num_tasks, graph.num_edges)
+        revision = graph.revision
         entry = self._graph_memo.get(key)
-        if entry is not None and entry[1] == size:
+        if entry is not None and entry[1] == revision:
             self.stats["graph_hits"] += 1
             return entry[2]
         self.stats["graph_misses"] += 1
         inv = GraphInvariants(graph)
-        self._graph_memo[key] = (graph, size, inv)
+        self._graph_memo[key] = (graph, revision, inv)
         return inv
 
     def release_graph(self, graph: TaskGraph) -> None:
@@ -168,15 +178,17 @@ class CostCache:
 
         Each edge's estimate ``D / (min(np_u, np_v) * bw)`` is memoized by
         its endpoint widths ``(np_u, np_v)``; a look-ahead step that grows
-        one task re-derives only that task's incident edges.
+        one task re-derives only that task's incident edges. Edges and
+        volumes come from the graph's cached invariants.
         """
+        volumes = self.graph_invariants(graph).volumes
         if comm_blind:
-            return {(u, v): 0.0 for u, v in graph.edges()}
+            return dict.fromkeys(volumes, 0.0)
         costs: Dict[Tuple[str, str], float] = {}
         stats = self.stats
         edge_memo = self._edge_memo
         bandwidth = self._bandwidth
-        for u, v in graph.edges():
+        for (u, v), volume in volumes.items():
             widths = (allocation[u], allocation[v])
             per_edge = edge_memo.get((u, v))
             if per_edge is None:
@@ -185,7 +197,7 @@ class CostCache:
             if cost is None:
                 stats["edge_misses"] += 1
                 cost = per_edge[widths] = estimate_edge_cost(
-                    widths[0], widths[1], graph.data_volume(u, v), bandwidth
+                    widths[0], widths[1], volume, bandwidth
                 )
             else:
                 stats["edge_hits"] += 1

@@ -29,7 +29,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, takewhile
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,6 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph
-from repro.graph.pseudo import ScheduleDAG
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedule import (
     IdleSweep,
@@ -126,7 +125,6 @@ def task_priorities(
 
 def _bottom_levels_under(
     inv: GraphInvariants,
-    graph: TaskGraph,
     alloc: Mapping[str, int],
     est_costs: Mapping[Tuple[str, str], float],
 ) -> Dict[str, float]:
@@ -136,9 +134,10 @@ def _bottom_levels_under(
     :func:`repro.graph.bottom_levels` — each vertex takes the max over its
     successors in identical iteration order, so results are bit-identical —
     minus the per-call acyclicity check and networkx traversals (acyclicity
-    was already established when the invariants were built).
+    was already established when the invariants were built). *alloc* is
+    clamped, so execution times are read without re-checking widths.
     """
-    et = graph.et
+    profiles = inv.profiles
     succs = inv.succs
     bl: Dict[str, float] = {}
     for v in reversed(inv.order):
@@ -147,7 +146,7 @@ def _bottom_levels_under(
             cand = est_costs[(v, w)] + bl[w]
             if cand > best:
                 best = cand
-        bl[v] = et(v, alloc[v]) + best
+        bl[v] = profiles[v]._time(alloc[v]) + best
     return bl
 
 
@@ -205,7 +204,7 @@ def locbs_plan(
     # Priorities (Algorithm 2, step 4): bottom level under the current
     # allocation plus the heaviest inbound edge estimate.
     est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
-    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
+    bl = _bottom_levels_under(inv, alloc, est_costs)
     prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
 
     succs = inv.succs
@@ -267,15 +266,18 @@ def locbs_schedule(
     ``placement_decision`` trace event. Recording never changes the
     schedule; ``None`` (the default) keeps the scan free of bookkeeping.
 
-    *base* (optional) is an earlier pass over the same *graph* and
-    *cluster*, run with the same *options* and *context* under any other
-    allocation — the LoC-MPS look-ahead passes the memoized pass whose
-    pop order shares the longest prefix with this one. A placement
-    depends only on the task's width, its parents' placements and the
-    chart built by the placements before it, so while each popped task is
-    the next task of *base* (in its pop order) at the same width, the
-    base's placement is committed as it is, without a hole scan. The
-    first mismatch ends the reuse for the rest of the pass, and the
+    *base* (optional) is an earlier result of this function over the
+    same *graph* and *cluster*, run with the same *options* and *context*
+    under any other allocation — the LoC-MPS look-ahead passes the
+    memoized pass whose pop order shares the longest prefix with this
+    one. A placement depends only on the task's width, its parents'
+    placements and the chart built by the placements before it, so the
+    pass resumes from *base*'s state after the longest common prefix of
+    the two pop orders (``(task, width)`` steps): the prefix's
+    placements go onto the chart in one
+    :meth:`~repro.schedule.ProcessorTimeline.reserve_many` load, and
+    their transfer times and pseudo-edges are copied from *base*, with
+    no hole scan. Only the steps after the prefix are scanned, and the
     result is identical to a cold pass either way; ``placements_reused``
     on the result counts the copied prefix. Options and context are not
     checked — the caller must keep them equal — but a *base* over another
@@ -289,7 +291,7 @@ def locbs_schedule(
     computing priorities itself.
     """
     if base is not None:
-        if base.sdag.base is not graph:
+        if base.graph is not graph:
             raise ScheduleError("base pass was run on a different graph")
         if base.schedule.cluster is not cluster:
             raise ScheduleError("base pass was run on a different cluster")
@@ -300,15 +302,15 @@ def locbs_schedule(
         for proc, ready in context.processor_ready.items():
             if ready > 0:
                 timeline.reserve([proc], 0.0, ready)
-    schedule, vertex_weights, edge_weights, sdag_pseudo, reused = _locbs_pass(
+    schedule, pseudo_edges, reused = _locbs_pass(
         graph, cluster, allocation, timeline, options, context,
         tracer or NULL_TRACER, cost_cache, provenance, base, plan,
     )
-    sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
-    for u, v in sdag_pseudo:
-        sdag.add_pseudo_edge(u, v)
     return SchedulingResult(
-        schedule=schedule, sdag=sdag, placements_reused=reused
+        schedule,
+        placements_reused=reused,
+        graph=graph,
+        pseudo_edges=pseudo_edges,
     )
 
 
@@ -324,13 +326,14 @@ def _locbs_pass(
     provenance: Optional[ProvenanceRecorder],
     base: Optional[SchedulingResult],
     plan: Optional[Plan],
-) -> Tuple[Schedule, Dict[str, float], Dict[Tuple[str, str], float],
-           List[Tuple[str, str]], int]:
+) -> Tuple[Schedule, List[Tuple[str, str]], int]:
     """One Algorithm 2 pass placing *graph* into *timeline* (mutated).
 
-    Walks *plan* (the pass's pop order, planned here when ``None``).
-    Returns the schedule in pop order, the schedule-DAG vertex and edge
-    weights, the ``(blocker, task)`` pseudo-edge pairs and the reused count.
+    Walks *plan* (the pass's pop order, planned here when ``None``): the
+    leading steps it shares with *base*'s pop order are loaded from the
+    base in bulk, the rest are hole-scanned one by one. Returns the
+    schedule in pop order, the ``(blocker, task)`` pseudo-edge pairs in
+    pop order and the count of copied placements.
     """
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
     if plan is None:
@@ -345,68 +348,43 @@ def _locbs_pass(
 
     schedule = Schedule(cluster, scheduler="locbs")
     index = PlacementIndex()
-    vertex_weights: Dict[str, float] = {}
-    edge_weights: Dict[Tuple[str, str], float] = {}
-    sdag_pseudo: List[Tuple[str, str]] = []
-    preds = inv.preds
+    pseudo_edges: List[Tuple[str, str]] = []
+    reused = 0 if base is None else _shared_prefix(plan, base.schedule)
+    if reused:
+        _load_prefix(
+            base, reused, inv, timeline, schedule, index, pseudo_edges,
+            context, tracer,
+        )
 
-    # The base's placements in pop order; ``reuse`` holds the next one
-    # until the first mismatch, then stays None for the rest of the pass.
-    prefix = iter(base.schedule) if base is not None else iter(())
-    reuse = next(prefix, None)
-    reused = 0
-
-    for tp, np_t in plan:
-        if reuse is not None and reuse.name == tp and reuse.width == np_t:
-            placement = reuse
-            reuse = next(prefix, None)
-            reused += 1
-            comm_times, est_tp = _reused_inbound(
-                tp, preds[tp], schedule, base.schedule.edge_comm_times, context
+    for tp, np_t in plan[reused:]:
+        placement, comm_times, est_tp = _place_task(
+            tp, np_t, inv, cluster, cache, timeline, schedule, options,
+            context, tracer, provenance,
+        )
+        if provenance is not None and tracer.enabled:
+            tracer.event(
+                "placement_decision", **provenance.decisions[-1].to_dict()
             )
-        else:
-            reuse = None
-            placement, comm_times, est_tp = _place_task(
-                tp, preds[tp], np_t, graph, cluster, cache, timeline, schedule,
-                options, context, tracer, provenance,
-            )
-            if provenance is not None and tracer.enabled:
-                tracer.event(
-                    "placement_decision", **provenance.decisions[-1].to_dict()
-                )
-        occupied_from = placement.start
         timeline.reserve(placement.processors, placement.start, placement.finish)
         schedule.place(placement)
         index.add(placement)
         if tracer.enabled:
-            tracer.event(
-                "task_placed",
-                task=tp,
-                start=placement.start,
-                exec_start=placement.exec_start,
-                finish=placement.finish,
-                width=placement.width,
-                processors=list(placement.processors),
-            )
-        for (u, v), ct in comm_times.items():
-            schedule.edge_comm_times[(u, v)] = ct
-            edge_weights[(u, v)] = ct  # non-graph (external) keys are ignored
-                                       # by the ScheduleDAG constructor
-        vertex_weights[tp] = placement.exec_duration
+            _announce_placement(tracer, placement)
+        schedule.edge_comm_times.update(comm_times)
 
         # Pseudo-edges (Algorithm 2, steps 17-18): the task waited on
         # resources, not data — record which finishing tasks released them.
-        if occupied_from > est_tp + _PSEUDO_TOL:
+        if placement.start > est_tp + _PSEUDO_TOL:
             for blocker in index.blockers(
-                placement, occupied_from, tol=_PSEUDO_TOL
+                placement, placement.start, tol=_PSEUDO_TOL
             ):
-                sdag_pseudo.append((blocker, tp))
+                pseudo_edges.append((blocker, tp))
                 if tracer.enabled:
                     tracer.event(
                         "pseudo_edge_added",
                         src=blocker,
                         dst=tp,
-                        wait=occupied_from - est_tp,
+                        wait=placement.start - est_tp,
                     )
 
     if tracer.enabled:
@@ -416,33 +394,95 @@ def _locbs_pass(
             bound_pruned=_ps["probes_bound_pruned"] - probes_base[1],
         )
         tracer.event("prefix_reused", count=reused)
-    return schedule, vertex_weights, edge_weights, sdag_pseudo, reused
+    return schedule, pseudo_edges, reused
 
 
-def _reused_inbound(
-    tp: str,
-    parents: Sequence[str],
+def _shared_prefix(plan: Plan, base_schedule: Schedule) -> int:
+    """How many leading ``(task, width)`` steps *plan* shares with a pass."""
+    k = 0
+    for (tp, np_t), placed in zip(plan, base_schedule):
+        if placed.name != tp or placed.width != np_t:
+            break
+        k += 1
+    return k
+
+
+def _load_prefix(
+    base: SchedulingResult,
+    k: int,
+    inv: GraphInvariants,
+    timeline: ProcessorTimeline,
     schedule: Schedule,
-    base_comm: Mapping[Tuple[str, str], float],
+    index: PlacementIndex,
+    pseudo_edges: List[Tuple[str, str]],
     context: Optional["SchedulingContext"],
-) -> Tuple[Dict[Tuple[str, str], float], float]:
-    """Inbound transfer times and ``est(tp)`` of a placement copied from a base.
+    tracer: Tracer,
+) -> None:
+    """Resume a pass from *base*'s state after its first *k* placements.
 
-    The same keys, order and arithmetic as the tail of :func:`_place_task`,
-    with the transfer times read from the base pass (the placement and its
-    parents' placements are identical there, so are its transfers).
+    A placement depends only on the task's width, its parents'
+    placements and the chart the placements before it built, so while
+    the pop orders agree the base's placements are the ones a hole scan
+    would find. They go onto the chart in one bulk load, into the
+    schedule and the placement index in pop order (sequence numbers and
+    blocker tie-breaks as in a cold pass). Their inbound transfer times
+    and pseudo-edge pairs are the leading entries of the base's, which
+    are both filled in pop order.
     """
-    inbound = [(u, schedule[u].finish) for u in parents]
-    if context is not None:
-        inbound += [
-            (f"__ext__{ext.label}", ext.ready_time)
-            for ext in context.inputs_for(tp)
-        ]
-    comm_times = {(u, tp): base_comm[(u, tp)] for u, _ in inbound}
-    est_tp = max(
-        (ft + comm_times[(u, tp)] for u, ft in inbound), default=0.0
+    prefix = list(islice(base.schedule, k))
+    timeline.reserve_many((p.processors, p.start, p.finish) for p in prefix)
+    for placement in prefix:
+        schedule.place(placement)
+        index.add(placement)
+    comm = schedule.edge_comm_times
+    comm.update(
+        takewhile(
+            lambda item: item[0][1] in schedule,
+            base.schedule.edge_comm_times.items(),
+        )
     )
-    return comm_times, est_tp
+    pseudo_edges.extend(
+        takewhile(lambda pair: pair[1] in schedule, base.pseudo_edges)
+    )
+    if not tracer.enabled:
+        return
+    # the same events, in the same order, as placing the prefix one by one
+    blockers: Dict[str, List[str]] = {}
+    for src, dst in pseudo_edges:
+        blockers.setdefault(dst, []).append(src)
+    for placement in prefix:
+        tp = placement.name
+        _announce_placement(tracer, placement)
+        if tp not in blockers:
+            continue
+        # est(tp), as _place_task computes it
+        inbound = [(u, schedule[u].finish) for u in inv.preds[tp]]
+        if context is not None:
+            inbound += [
+                (f"__ext__{ext.label}", ext.ready_time)
+                for ext in context.inputs_for(tp)
+            ]
+        est_tp = max((ft + comm[(u, tp)] for u, ft in inbound), default=0.0)
+        for src in blockers[tp]:
+            tracer.event(
+                "pseudo_edge_added",
+                src=src,
+                dst=tp,
+                wait=placement.start - est_tp,
+            )
+
+
+def _announce_placement(tracer: Tracer, placement: PlacedTask) -> None:
+    """The ``task_placed`` trace event of one placement."""
+    tracer.event(
+        "task_placed",
+        task=placement.name,
+        start=placement.start,
+        exec_start=placement.exec_start,
+        finish=placement.finish,
+        width=placement.width,
+        processors=list(placement.processors),
+    )
 
 
 def splice_schedule(
@@ -486,9 +526,8 @@ def splice_schedule(
 
 def _place_task(
     tp: str,
-    parents: Sequence[str],
     np_t: int,
-    graph: TaskGraph,
+    inv: GraphInvariants,
     cluster: Cluster,
     cache: CostCache,
     timeline: ProcessorTimeline,
@@ -500,9 +539,9 @@ def _place_task(
 ) -> Tuple[PlacedTask, Dict[Tuple[str, str], float], float]:
     """Find the minimum-finish-time hole for *tp* (Algorithm 2, steps 5-16).
 
-    *parents* is *tp*'s predecessor list (the caller holds it cached in the
-    graph invariants) and *np_t* its width. *cache* prices the transfers and receives the
-    probe counters in its ``stats``.
+    *np_t* is *tp*'s width; its parents, their edge volumes and its
+    profile come from the cached graph invariants *inv*. *cache* prices
+    the transfers and receives the probe counters in its ``stats``.
 
     Builds the parent info and the candidate ladder, runs the one hole
     scan (:func:`_scan_batch`) and turns its winner into the placement.
@@ -514,11 +553,12 @@ def _place_task(
     Returns the placement, the actual per-in-edge communication times, and
     ``est(tp)`` (the data-ready lower bound used for pseudo-edge detection).
     """
-    et = graph.et(tp, np_t)
+    et = inv.profiles[tp]._time(np_t)
+    volumes = inv.volumes
     parent_info: List[Tuple[str, Tuple[int, ...], float, float]] = []
-    for u in parents:
+    for u in inv.preds[tp]:
         pu = schedule[u]
-        volume = 0.0 if options.comm_blind else graph.data_volume(u, tp)
+        volume = 0.0 if options.comm_blind else volumes[(u, tp)]
         parent_info.append((u, pu.processors, pu.finish, volume))
     if context is not None:
         for ext in context.inputs_for(tp):

@@ -259,24 +259,23 @@ class LocMpsScheduler(Scheduler):
         """Best candidate task per Section III-C.
 
         Eligible CP tasks are ranked by execution-time gain; among the top
-        ``top_fraction`` the minimum concurrency ratio wins.
+        ``top_fraction`` the minimum concurrency ratio wins. A task is
+        eligible only while ``alloc[t] + 1 <= limits[t] <= P``, so its
+        execution times are read without re-checking the widths.
         """
-        eligible = [
-            t
-            for t in dict.fromkeys(cp)  # dedupe, preserve order
-            if alloc[t] < limits[t] and t not in banned
-        ]
-        eligible = [
-            t for t in eligible if graph.task(t).profile.gain(alloc[t]) > 0
-        ]
-        if not eligible:
+        ranked: List[Tuple[float, str]] = []  # (-gain, task)
+        for t in dict.fromkeys(cp):  # dedupe, preserve order
+            p = alloc[t]
+            if p < limits[t] and t not in banned:
+                profile = graph.task(t).profile
+                gain = profile._time(p) - profile._time(p + 1)
+                if gain > 0:
+                    ranked.append((-gain, t))
+        if not ranked:
             return None
-        eligible.sort(
-            key=lambda t: (-graph.task(t).profile.gain(alloc[t]), t)
-        )
-        k = max(1, math.ceil(self.top_fraction * len(eligible)))
-        top = eligible[:k]
-        return min(top, key=lambda t: (cr[t], t))
+        ranked.sort()
+        k = max(1, math.ceil(self.top_fraction * len(ranked)))
+        return min((t for _, t in ranked[:k]), key=lambda t: (cr[t], t))
 
     def _select_edge(
         self,

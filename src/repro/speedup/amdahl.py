@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.speedup.base import SpeedupModel
+from repro.speedup.base import SpeedupModel, checked_parameter
 from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = ["AmdahlSpeedup"]
@@ -21,8 +21,8 @@ class AmdahlSpeedup(SpeedupModel):
     __slots__ = ("serial_fraction",)
 
     def __init__(self, serial_fraction: float) -> None:
-        self.serial_fraction = check_in_range(
-            serial_fraction, "serial_fraction", 0.0, 1.0
+        self.serial_fraction = checked_parameter(
+            check_in_range, serial_fraction, "serial_fraction", 0.0, 1.0
         )
 
     def speedup(self, n: int) -> float:

@@ -3,10 +3,29 @@
 from __future__ import annotations
 
 import abc
+from typing import Any, Callable, TypeVar
 
+from repro.exceptions import InvalidProfileError
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SpeedupModel"]
+__all__ = ["SpeedupModel", "checked_parameter"]
+
+_T = TypeVar("_T")
+
+
+def checked_parameter(
+    check: Callable[..., _T], value: Any, name: str, *args: Any
+) -> _T:
+    """``check(value, name, *args)`` with a rejection raised as
+    :class:`~repro.exceptions.InvalidProfileError`.
+
+    For the construction-time checks of profiles and speedup models. A
+    value of the wrong type keeps its ``TypeError``.
+    """
+    try:
+        return check(value, name, *args)
+    except ValueError as err:
+        raise InvalidProfileError(str(err)) from None
 
 
 class SpeedupModel(abc.ABC):

@@ -26,8 +26,14 @@ At ``sigma == 1`` both branches coincide.
 
 from __future__ import annotations
 
-from repro.speedup.base import SpeedupModel
-from repro.utils.validation import check_non_negative, check_positive_int
+import math
+
+from repro.speedup.base import SpeedupModel, checked_parameter
+from repro.utils.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive_int,
+)
 
 __all__ = ["DowneySpeedup"]
 
@@ -38,10 +44,11 @@ class DowneySpeedup(SpeedupModel):
     __slots__ = ("A", "sigma")
 
     def __init__(self, A: float, sigma: float) -> None:
-        if A < 1:
-            raise ValueError(f"average parallelism A must be >= 1, got {A}")
+        A = checked_parameter(
+            check_in_range, A, "average parallelism A", 1, math.inf
+        )
         self.A = float(A)
-        self.sigma = check_non_negative(sigma, "sigma")
+        self.sigma = checked_parameter(check_non_negative, sigma, "sigma")
 
     def speedup(self, n: int) -> float:
         n = check_positive_int(n, "n")

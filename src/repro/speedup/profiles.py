@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.exceptions import ProfileError
-from repro.speedup.base import SpeedupModel
+from repro.speedup.base import SpeedupModel, checked_parameter
 from repro.speedup.table import TableSpeedup
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -51,7 +51,9 @@ class ExecutionProfile:
                     "sequential_time is required unless model is a TableSpeedup"
                 )
         self.model = model
-        self.sequential_time = check_positive(sequential_time, "sequential_time")
+        self.sequential_time = checked_parameter(
+            check_positive, sequential_time, "sequential_time"
+        )
         self._cache: Dict[int, float] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -74,6 +76,16 @@ class ExecutionProfile:
                 cached = self.model.execution_time(self.sequential_time, p)
             self._cache[p] = cached
         return cached
+
+    def _time(self, p: int) -> float:
+        """``et(p)`` for a *p* the caller has already validated.
+
+        The schedulers' hot loops read widths that passed
+        ``clamp_allocation`` or stay inside ``[1, pbest]``; a memo hit
+        skips :meth:`time`'s argument check, a miss goes through it.
+        """
+        cached = self._cache.get(p)
+        return cached if cached is not None else self.time(p)
 
     def gain(self, p: int) -> float:
         """Execution-time decrease from growing ``p`` to ``p + 1``."""

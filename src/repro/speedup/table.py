@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.exceptions import ProfileError
-from repro.speedup.base import SpeedupModel
+from repro.speedup.base import SpeedupModel, checked_parameter
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["TableSpeedup"]
@@ -30,7 +30,7 @@ class TableSpeedup(SpeedupModel):
         clean: Dict[int, float] = {}
         for p, t in times.items():
             p = check_positive_int(p, "processor count")
-            clean[p] = check_positive(t, f"time at p={p}")
+            clean[p] = checked_parameter(check_positive, t, f"time at p={p}")
         if 1 not in clean:
             raise ProfileError("TableSpeedup table must include an entry for p=1")
         self._times = dict(sorted(clean.items()))

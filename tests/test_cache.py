@@ -157,6 +157,33 @@ class TestFingerprint:
         assert delta == 1
 
 
+    def test_request_key_digest_computed_once(self, monkeypatch):
+        import repro.cache.fingerprint as fp_mod
+
+        key = request_fingerprint(
+            chain_graph(), Cluster(num_processors=4), scheme_config("locmps")
+        )
+        calls = []
+        real_digest = fp_mod._digest
+
+        def counting(doc):
+            calls.append(doc)
+            return real_digest(doc)
+
+        monkeypatch.setattr(fp_mod, "_digest", counting)
+        first = key.fingerprint
+        assert key.fingerprint == first
+        assert len(calls) == 1
+        assert first == real_digest(
+            {
+                "schema": fp_mod.FINGERPRINT_SCHEMA,
+                "graph": key.graph_fp,
+                "cluster": key.cluster_fp,
+                "config": key.config_fp,
+            }
+        )
+
+
 class TestScheduleCache:
     def _schedule(self, g, cluster):
         return LocMpsScheduler().schedule(g, cluster)

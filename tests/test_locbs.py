@@ -4,7 +4,9 @@ import pytest
 
 from repro import Cluster, TaskGraph, validate_schedule
 from repro.exceptions import AllocationError, ScheduleError
+from repro.graph.pseudo import ScheduleDAG
 from repro.schedulers import LocbsOptions, ProvenanceRecorder, locbs_schedule
+from repro.schedulers.base import SchedulingResult
 from repro.speedup import AmdahlSpeedup, ExecutionProfile, LinearSpeedup
 
 from tests.helpers import build_fig1_graph, build_random_graph
@@ -225,3 +227,47 @@ class TestBaseGuard:
             locbs_schedule(
                 g, cl, alloc, base=base, provenance=ProvenanceRecorder()
             )
+
+
+class TestLazyScheduleDag:
+    """A LoCBS result builds its ``G'`` on the first read of ``.sdag``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_sdag_equals_an_eager_build(self, seed):
+        g = build_random_graph(16, seed)
+        cl = Cluster(num_processors=4)
+        res = locbs_schedule(g, cl, {t: 1 + (int(t[1:]) % 3) for t in g.tasks()})
+        sched = res.schedule
+        eager = ScheduleDAG(
+            g, {p.name: p.exec_duration for p in sched}, sched.edge_comm_times
+        )
+        for u, v in res.pseudo_edges:
+            eager.add_pseudo_edge(u, v)
+        lazy = res.sdag
+        assert lazy is res.sdag  # built once
+        assert lazy.pseudo_edges() == eager.pseudo_edges()
+        assert lazy.real_edges() == eager.real_edges()
+        assert all(
+            lazy.vertex_weight(t) == eager.vertex_weight(t) for t in g.tasks()
+        )
+        assert all(
+            lazy.edge_weight(u, v) == eager.edge_weight(u, v)
+            for u, v in eager.real_edges() + eager.pseudo_edges()
+        )
+        assert lazy.critical_path() == eager.critical_path()
+
+    def test_pseudo_edge_pairs_are_in_pop_order(self):
+        g = build_random_graph(16, 3)
+        res = locbs_schedule(g, Cluster(num_processors=3), {t: 2 for t in g.tasks()})
+        pos = {p.name: i for i, p in enumerate(res.schedule)}
+        assert res.pseudo_edges
+        dsts = [pos[v] for _, v in res.pseudo_edges]
+        assert dsts == sorted(dsts)
+        assert all(pos[u] < pos[v] for u, v in res.pseudo_edges)
+
+    def test_eager_sdag_is_kept(self):
+        g = build_random_graph(6, 1)
+        res = locbs_schedule(g, Cluster(num_processors=2), {t: 1 for t in g.tasks()})
+        given = SchedulingResult(schedule=res.schedule, sdag=res.sdag)
+        assert given.sdag is res.sdag
+        assert given.graph is g

@@ -143,3 +143,31 @@ class TestGrowEdge:
         alloc = {"a": 8, "b": 8}
         LocMpsScheduler()._grow_edge(("a", "b"), alloc, P=8)
         assert alloc == {"a": 8, "b": 8}
+
+
+class TestLazyScheduleDagBuilds:
+    def test_walk_builds_fewer_schedule_dags_than_it_runs_passes(
+        self, monkeypatch
+    ):
+        import repro.schedulers.base as base_mod
+        from repro.cluster import MYRINET_2GBPS
+        from repro.perf.hotpath import wide_dag
+
+        builds = []
+
+        class CountingScheduleDAG(base_mod.ScheduleDAG):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(base_mod, "ScheduleDAG", CountingScheduleDAG)
+        sched = LocMpsScheduler(look_ahead_depth=2)
+        s = sched.schedule(
+            wide_dag(16, seed=11),
+            Cluster(num_processors=8, bandwidth=MYRINET_2GBPS),
+        )
+        passes = sched.memo_stats["misses"]
+        assert len(s) == 16
+        assert 0 < len(builds) < passes

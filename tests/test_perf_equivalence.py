@@ -272,7 +272,7 @@ class TestCostCache:
         for _ in range(4):
             alloc = {t: rng.randint(1, 8) for t in graph.tasks()}
             est = cache.edge_cost_map(graph, alloc)
-            assert _bottom_levels_under(inv, graph, alloc, est) == bottom_levels(
+            assert _bottom_levels_under(inv, alloc, est) == bottom_levels(
                 graph.nx_graph(),
                 lambda t: graph.et(t, alloc[t]),
                 lambda u, v: est[(u, v)],

@@ -1,8 +1,11 @@
 """ExecutionProfile: time queries, gains, pbest."""
 
+import math
+
 import pytest
 
-from repro.exceptions import ProfileError
+from repro import exceptions
+from repro.exceptions import InvalidProfileError, ProfileError
 from repro.speedup import (
     AmdahlSpeedup,
     DowneySpeedup,
@@ -89,3 +92,55 @@ class TestPbest:
         p = ExecutionProfile(LinearSpeedup(), 1.0)
         with pytest.raises(ValueError):
             p.pbest(0)
+
+
+class TestInvalidProfileError:
+    """Out-of-range parameters raise the typed error, still a ValueError."""
+
+    def test_is_a_profile_error_and_a_value_error(self):
+        assert issubclass(InvalidProfileError, ProfileError)
+        assert issubclass(InvalidProfileError, ValueError)
+        assert "InvalidProfileError" in exceptions.__all__
+
+    @pytest.mark.parametrize("seq", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_sequential_time(self, seq):
+        with pytest.raises(InvalidProfileError, match="sequential_time"):
+            ExecutionProfile(LinearSpeedup(), seq)
+
+    @pytest.mark.parametrize("serial", [1.5, -0.1, math.nan])
+    def test_amdahl_fraction_out_of_range(self, serial):
+        with pytest.raises(InvalidProfileError, match="serial_fraction"):
+            AmdahlSpeedup(serial)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -2.0])
+    def test_bad_table_entry(self, t):
+        with pytest.raises(InvalidProfileError, match="time at p="):
+            TableSpeedup({1: 10.0, 2: t})
+
+    @pytest.mark.parametrize(
+        "A, sigma", [(0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                     (4.0, -0.1), (4.0, math.nan)],
+    )
+    def test_bad_downey_parameters(self, A, sigma):
+        with pytest.raises(InvalidProfileError):
+            DowneySpeedup(A, sigma)
+
+    def test_non_int_width_keeps_type_error(self):
+        p = ExecutionProfile(LinearSpeedup(), 1.0)
+        with pytest.raises(TypeError):
+            p.time(1.5)
+        with pytest.raises(TypeError):
+            ExecutionProfile(LinearSpeedup(), "1.0")
+
+
+class TestUncheckedTime:
+    def test_equals_time_on_hits_and_misses(self):
+        p = ExecutionProfile(AmdahlSpeedup(0.2), 30.0)
+        assert p._time(3) == p.time(3)  # miss, then hit
+        assert p._time(3) == p.time(3)
+        assert p._time(5) == AmdahlSpeedup(0.2).execution_time(30.0, 5)
+
+    def test_miss_goes_through_the_checked_time(self):
+        p = ExecutionProfile(LinearSpeedup(), 1.0)
+        with pytest.raises(ValueError):
+            p._time(0)
