@@ -14,6 +14,7 @@ __all__ = [
     "UnknownTaskError",
     "MissingFieldError",
     "EdgeVolumeError",
+    "GraphShapeError",
     "ProfileError",
     "InvalidProfileError",
     "AllocationError",
@@ -56,6 +57,13 @@ class MissingFieldError(GraphError, KeyError):
 
 class EdgeVolumeError(GraphError, ValueError):
     """An edge's data volume is NaN, infinite or negative."""
+
+
+class GraphShapeError(GraphError, TypeError):
+    """A serialized task graph has a field of the wrong type: a document,
+    task, model, edge or ``attrs`` that is not an object, ``tasks`` or
+    ``edges`` that is not a list, an unhashable name or a non-number
+    time or volume."""
 
 
 class ProfileError(ReproError):

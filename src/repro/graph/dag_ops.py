@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Set, Tuple
 import networkx as nx
 
 from repro.exceptions import CycleError
+from repro.graph.pseudo import critical_path_walk
 
 __all__ = [
     "top_levels",
@@ -101,43 +102,12 @@ def critical_path(
     Deterministic: among equally long extensions the lexicographically
     smallest successor is chosen, so repeated calls on the same graph return
     the same path (important for the iterative allocation loops, which must
-    not oscillate between tie-broken paths).
+    not oscillate between tie-broken paths). The walk is
+    :func:`repro.graph.pseudo.critical_path_walk`.
     """
-    if g.number_of_nodes() == 0:
-        return 0.0, []
     # acyclicity is checked (once) inside bottom_levels
     bottoms = bottom_levels(g, vertex_weight, edge_weight)
-    # Start at the source-most vertex with maximal bottom level.
-    start = min(
-        (v for v in g.nodes),
-        key=lambda v: (-bottoms[v], v),
-    )
-    path = [start]
-    cur = start
-    while True:
-        succs = list(g.successors(cur))
-        if not succs:
-            break
-        # The true continuation satisfies
-        # bottomL(cur) == wt(cur) + edge(cur, nxt) + bottomL(nxt).
-        target = bottoms[cur] - vertex_weight(cur)
-        best_next = None
-        for w in sorted(succs):
-            if abs(edge_weight(cur, w) + bottoms[w] - target) <= 1e-9 * max(
-                1.0, abs(target)
-            ) + 1e-12:
-                best_next = w
-                break
-        if best_next is None:
-            # Numerical slack: fall back to the max-valued successor.
-            best_next = max(
-                succs, key=lambda w: (edge_weight(cur, w) + bottoms[w], w)
-            )
-            if edge_weight(cur, best_next) + bottoms[best_next] <= 0:
-                break
-        path.append(best_next)
-        cur = best_next
-    return bottoms[start], path
+    return critical_path_walk(bottoms, g.succ.__getitem__, vertex_weight, edge_weight)
 
 
 def critical_path_length(

@@ -7,28 +7,35 @@ of this augmented DAG is the longest chain in the actual schedule, and is
 what the LoC-MPS allocation loop shortens each iteration (paper Fig 1).
 
 The graph is stored as plain dict adjacency rather than a
-:class:`networkx.DiGraph`: one ``G'`` is built per LoCBS run the
-look-ahead analyses and its critical path re-queried on every step,
-which made the generic-graph overhead (attribute dicts per edge, view
-objects per traversal) a measurable slice of scheduling wall-clock. The
-critical path is cached per instance — pseudo-edge insertion invalidates
-it — and the level/walk arithmetic replicates :mod:`repro.graph.dag_ops`
-operation for operation, so the path is bit-identical to running
-:func:`repro.graph.dag_ops.critical_path` on the equivalent
-:class:`networkx.DiGraph` (property-tested in ``tests/test_pseudo.py``).
+:class:`networkx.DiGraph`, and its critical path is cached per instance
+(pseudo-edge insertion invalidates it). The level arithmetic replicates
+:func:`repro.graph.dag_ops.bottom_levels` operation for operation.
+
+:func:`critical_path_walk` is the one critical-path walk of the package:
+given every vertex's bottom level, it picks the start vertex and follows
+the tie-broken continuation to a sink. :meth:`ScheduleDAG.critical_path`,
+:func:`repro.graph.dag_ops.critical_path` and the LoC-MPS look-ahead all
+call it. LoC-MPS builds no ``G'``: it sweeps a LoCBS pass's pop order,
+which is a topological order of ``G'``, for the same bottom levels and
+hands them to the same walk (see :mod:`repro.schedulers.locmps`). The
+results are bit-identical to running :func:`repro.graph.dag_ops.critical_path`
+on the equivalent :class:`networkx.DiGraph` (property-tested in
+``tests/test_pseudo.py`` and, for the sweep, ``tests/test_pop_order_cp.py``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 
 from repro.exceptions import CycleError, GraphError
 from repro.graph.taskgraph import TaskGraph
 
-__all__ = ["ScheduleDAG"]
+__all__ = ["ScheduleDAG", "critical_path_walk"]
 
 
 class ScheduleDAG:
@@ -216,13 +223,8 @@ class ScheduleDAG:
     def critical_path(self) -> Tuple[float, List[str]]:
         """``(length, vertices)`` of the schedule's critical path.
 
-        Cached — ``G'`` is immutable once the scheduler has added its
-        pseudo-edges, and the look-ahead loop re-reads the path many times.
-        The walk replicates :func:`repro.graph.dag_ops.critical_path`:
-        start vertex is the minimum by ``(-bottomL, name)``, each step takes
-        the first sorted successor whose level closes the telescoping sum
-        within the same relative tolerance, with the same max-keyed
-        fallback.
+        Cached — ``G'`` is immutable once its pseudo-edges are added. The
+        path is :func:`critical_path_walk` over :meth:`_bottom_levels`.
         """
         if self._cp is None:
             self._cp = self._compute_cp()
@@ -230,37 +232,13 @@ class ScheduleDAG:
         return length, list(path)
 
     def _compute_cp(self) -> Tuple[float, List[str]]:
-        if not self._nodes:
-            return 0.0, []
-        bottoms = self._bottom_levels()
-        start = min(self._nodes, key=lambda v: (-bottoms[v], v))
-        vw, ew, succ_map = self._vw, self._ew, self._succ
-        path = [start]
-        cur = start
-        while True:
-            succs = succ_map[cur]
-            if not succs:
-                break
-            # The true continuation satisfies
-            # bottomL(cur) == wt(cur) + edge(cur, nxt) + bottomL(nxt).
-            target = bottoms[cur] - vw[cur]
-            best_next = None
-            for w in sorted(succs):
-                if abs(ew[(cur, w)] + bottoms[w] - target) <= 1e-9 * max(
-                    1.0, abs(target)
-                ) + 1e-12:
-                    best_next = w
-                    break
-            if best_next is None:
-                # Numerical slack: fall back to the max-valued successor.
-                best_next = max(
-                    succs, key=lambda w: (ew[(cur, w)] + bottoms[w], w)
-                )
-                if ew[(cur, best_next)] + bottoms[best_next] <= 0:
-                    break
-            path.append(best_next)
-            cur = best_next
-        return bottoms[start], path
+        ew = self._ew
+        return critical_path_walk(
+            self._bottom_levels(),
+            self._succ.__getitem__,
+            self._vw.__getitem__,
+            lambda u, v: ew[(u, v)],
+        )
 
     def path_costs(self, path: Iterable[str]) -> Tuple[float, float]:
         """``(Tcomp, Tcomm)`` decomposition of a vertex path.
@@ -295,3 +273,46 @@ class ScheduleDAG:
             f"real_edges={len(self._ps) - n_pseudo}, "
             f"pseudo_edges={n_pseudo})"
         )
+
+
+def critical_path_walk(
+    levels: Mapping[str, float],
+    successors: Callable[[str], Collection[str]],
+    vertex_weight: Callable[[str], float],
+    edge_weight: Callable[[str, str], float],
+) -> Tuple[float, List[str]]:
+    """``(length, vertices)`` of the critical path that *levels* describe.
+
+    *levels* holds every vertex's bottom level (``bottomL``). The walk
+    starts at the minimum by ``(-bottomL, name)`` and each step takes the
+    first sorted successor whose level closes the telescoping sum
+    ``bottomL(cur) == wt(cur) + edge(cur, nxt) + bottomL(nxt)`` within a
+    relative tolerance, falling back to the max-valued successor. No
+    choice depends on the order *successors* lists them, so the result
+    depends only on the graph and its weights.
+    """
+    if not levels:
+        return 0.0, []
+    start = min(levels, key=lambda v: (-levels[v], v))
+    path = [start]
+    cur = start
+    while True:
+        succs = successors(cur)
+        if not succs:
+            break
+        target = levels[cur] - vertex_weight(cur)
+        best_next = None
+        for w in sorted(succs):
+            if abs(edge_weight(cur, w) + levels[w] - target) <= 1e-9 * max(
+                1.0, abs(target)
+            ) + 1e-12:
+                best_next = w
+                break
+        if best_next is None:
+            # Numerical slack: fall back to the max-valued successor.
+            best_next = max(succs, key=lambda w: (edge_weight(cur, w) + levels[w], w))
+            if edge_weight(cur, best_next) + levels[best_next] <= 0:
+                break
+        path.append(best_next)
+        cur = best_next
+    return levels[start], path

@@ -20,10 +20,12 @@ family means adding one encoder/decoder pair there.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from numbers import Real
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple, Union
 
-from repro.exceptions import GraphError, MissingFieldError
+from repro.exceptions import GraphError, GraphShapeError, MissingFieldError
 from repro.graph.taskgraph import TaskGraph
 from repro.speedup import (
     AmdahlSpeedup,
@@ -35,6 +37,22 @@ from repro.speedup import (
 )
 
 __all__ = ["graph_to_dict", "graph_from_dict", "save_graph", "load_graph"]
+
+
+def _shaped(value: Any, kind: Any, what: str) -> Any:
+    """*value* if it is a *kind*, else :class:`GraphShapeError`."""
+    if not isinstance(value, kind):
+        raise GraphShapeError(f"{what} has the wrong type: {type(value).__name__}")
+    return value
+
+
+def _name(value: Any, what: str) -> Any:
+    """*value* if it can name a task, else :class:`GraphShapeError`."""
+    try:
+        hash(value)
+    except TypeError:
+        raise GraphShapeError(f"{what} is unhashable: {value!r}") from None
+    return value
 
 
 def _encode_downey(m: DowneySpeedup) -> Dict[str, Any]:
@@ -73,7 +91,9 @@ MODEL_CODECS: Dict[str, Tuple[type, Callable, Callable]] = {
     "table": (
         TableSpeedup,
         _encode_table,
-        lambda d: TableSpeedup({int(p): t for p, t in d["times"].items()}),
+        lambda d: TableSpeedup(
+            {int(p): t for p, t in _shaped(d["times"], Mapping, "table times").items()}
+        ),
     ),
 }
 
@@ -90,10 +110,15 @@ def _encode_model(model: SpeedupModel) -> Dict[str, Any]:
 
 def _decode_model(doc: Dict[str, Any]) -> SpeedupModel:
     kind = doc.get("type")
-    entry = MODEL_CODECS.get(kind)
+    entry = MODEL_CODECS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise GraphError(f"unknown speedup model type {kind!r}")
-    return entry[2](doc)
+    try:
+        return entry[2](doc)
+    except GraphError:
+        raise
+    except TypeError as err:  # a parameter that is not a number
+        raise GraphShapeError(f"{kind} model: {err}") from None
 
 
 def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
@@ -117,15 +142,33 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 
 
 def graph_from_dict(doc: Dict[str, Any]) -> TaskGraph:
-    """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output."""
+    """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output.
+
+    A missing field raises :class:`~repro.exceptions.MissingFieldError`,
+    a field of the wrong type :class:`~repro.exceptions.GraphShapeError`.
+    """
+    _shaped(doc, Mapping, "graph document")
     graph = TaskGraph(doc.get("name", "taskgraph"))
     try:
-        for tdoc in doc["tasks"]:
-            model = _decode_model(tdoc["model"])
-            profile = ExecutionProfile(model, tdoc["sequential_time"])
-            graph.add_task(tdoc["name"], profile, **tdoc.get("attrs", {}))
-        for edoc in doc["edges"]:
-            graph.add_edge(edoc["src"], edoc["dst"], edoc.get("data_volume", 0.0))
+        for tdoc in _shaped(doc["tasks"], (list, tuple), "'tasks'"):
+            _shaped(tdoc, Mapping, "task entry")
+            model = _decode_model(_shaped(tdoc["model"], Mapping, "task model"))
+            seq = _shaped(tdoc["sequential_time"], Real, "task sequential_time")
+            attrs = _shaped(tdoc.get("attrs", {}), Mapping, "task attrs")
+            if not all(isinstance(key, str) for key in attrs):
+                raise GraphShapeError(f"task attrs has a non-string key: {attrs!r}")
+            graph.add_task(
+                _name(tdoc["name"], "task name"),
+                ExecutionProfile(model, seq),
+                **attrs,
+            )
+        for edoc in _shaped(doc["edges"], (list, tuple), "'edges'"):
+            _shaped(edoc, Mapping, "edge entry")
+            graph.add_edge(
+                _name(edoc["src"], "edge src"),
+                _name(edoc["dst"], "edge dst"),
+                _shaped(edoc.get("data_volume", 0.0), Real, "edge data_volume"),
+            )
     except GraphError:
         raise
     except KeyError as err:

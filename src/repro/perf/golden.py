@@ -6,8 +6,9 @@ property tests against the naive reference (``repro.perf.reference``) and
 the *golden file* checked in at ``tests/golden/scheduler_golden.json`` —
 exact makespans plus a placement digest for every scheduler in the
 registry over small deterministic seed suites. Any drift in any
-scheduler's output fails ``tests/test_perf_equivalence.py`` and the CI
-``perf-smoke`` job.
+scheduler's output fails ``tests/test_perf_equivalence.py``,
+``tests/test_golden_traced.py`` (the same cases traced and explained) and
+the CI ``diff-oracle`` job, which checks under three string-hash seeds.
 
 Regenerate deliberately (only when an intentional behaviour change lands)
 with ``python -m repro.perf golden --write``.

@@ -109,6 +109,9 @@ class Schedule:
     def __iter__(self) -> Iterator[PlacedTask]:
         return iter(self._placements.values())
 
+    def __reversed__(self) -> Iterator[PlacedTask]:
+        return reversed(self._placements.values())
+
     def __getitem__(self, name: str) -> PlacedTask:
         try:
             return self._placements[name]

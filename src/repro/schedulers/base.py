@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
 from repro.exceptions import AllocationError
@@ -16,6 +16,10 @@ from repro.schedule import Schedule
 
 __all__ = ["Scheduler", "SchedulingResult", "clamp_allocation", "edge_cost_map"]
 
+#: a critical path's vertices, its ``Tcomp`` and ``Tcomm``, and its real
+#: edges with their weights
+CpSummary = Tuple[List[str], float, float, List[Tuple[str, str, float]]]
+
 
 class SchedulingResult:
     """What a scheduler returns: the schedule and the schedule-DAG ``G'``.
@@ -26,7 +30,9 @@ class SchedulingResult:
     the first read of :attr:`sdag`: vertex weights are the placements'
     computation times, edge weights the schedule's transfer times. Many
     look-ahead passes are never analysed, so they never pay for the
-    build.
+    build. LoC-MPS itself never reads :attr:`sdag` from such a pass: it
+    sweeps the pass's pop order for the same critical path (see
+    :mod:`repro.schedulers.locmps`), so only direct readers build ``G'``.
 
     ``placements_reused`` counts the leading placements a LoCBS pass copied
     from its ``base`` pass instead of scanning for them (0 for cold passes).
@@ -50,6 +56,9 @@ class SchedulingResult:
         #: ``(blocker, task)`` pseudo-edge pairs in pop order (LoCBS passes)
         self.pseudo_edges = pseudo_edges
         self._sdag = sdag
+        #: LoC-MPS's ``(path, Tcomp, Tcomm, real edges on path)`` of
+        #: ``G'``'s critical path, filled on its first read
+        self._cp_summary: Optional[CpSummary] = None
 
     @property
     def sdag(self) -> ScheduleDAG:

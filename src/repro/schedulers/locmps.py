@@ -22,15 +22,19 @@ The outer allocation loop of the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph, concurrency_ratio
+from repro.graph.pseudo import critical_path_walk
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedulers.base import Scheduler, SchedulingResult, whole_width
+from repro.schedule import Schedule
+from repro.schedulers.base import CpSummary, Scheduler, SchedulingResult, whole_width
 from repro.schedulers.context import SchedulingContext
-from repro.schedulers.costcache import CostCache
+from repro.schedulers.costcache import CostCache, GraphInvariants
 from repro.schedulers.locbs import LocbsOptions, Plan, locbs_plan, locbs_schedule
 from repro.schedulers.provenance import ProvenanceRecorder
 
@@ -279,13 +283,14 @@ class LocMpsScheduler(Scheduler):
 
     def _select_edge(
         self,
-        result: SchedulingResult,
-        cp: List[str],
+        cp_edges: List[Tuple[str, str, float]],
         cluster: Cluster,
         alloc: Dict[str, int],
         banned: FrozenSet[Hashable],
     ) -> Optional[Tuple[str, str]]:
-        """Heaviest unmarked growable real edge on the critical path.
+        """Heaviest unmarked growable edge of *cp_edges*.
+
+        *cp_edges* are the critical path's real edges with their weights.
 
         Deliberately *not* constrained by the per-task ``pbest`` width
         limits that gate :meth:`_select_task`: the paper grows a
@@ -296,7 +301,7 @@ class LocMpsScheduler(Scheduler):
         """
         P = cluster.num_processors
         best: Optional[Tuple[float, str, str]] = None
-        for u, v, w in result.sdag.real_edges_on_path(cp):
+        for u, v, w in cp_edges:
             if w <= 0 or (u, v) in banned:
                 continue
             if alloc[u] >= P and alloc[v] >= P:
@@ -348,18 +353,15 @@ class LocMpsScheduler(Scheduler):
         ``None`` when every critical-path task and edge is banned or
         saturated.
         """
-        _cp_len, cp = cur_result.sdag.critical_path()
-        tcomp, tcomm = cur_result.sdag.path_costs(cp)
+        cp, tcomp, tcomm, cp_edges = _cp_summary(cur_result, self._cost_cache)
         if tcomp >= tcomm:
             candidate: Optional[EntryPoint] = self._select_task(
                 cp, graph, alloc, limits, cr, banned
             )
             if candidate is None:
-                candidate = self._select_edge(
-                    cur_result, cp, cluster, alloc, banned
-                )
+                candidate = self._select_edge(cp_edges, cluster, alloc, banned)
         else:
-            candidate = self._select_edge(cur_result, cp, cluster, alloc, banned)
+            candidate = self._select_edge(cp_edges, cluster, alloc, banned)
             if candidate is None:
                 candidate = self._select_task(
                     cp, graph, alloc, limits, cr, banned
@@ -609,6 +611,95 @@ class LocMpsScheduler(Scheduler):
             )
         best_result.schedule.scheduler = self.name
         return best_result
+
+
+def _cp_summary(result: SchedulingResult, cache: CostCache) -> CpSummary:
+    """The critical path of *result*'s ``G'``, read once and kept on it.
+
+    A LoCBS pass's summary comes from :func:`_pop_order_cp`, so no
+    ``G'`` is built; a result that already holds its ``G'`` (given
+    ready-made, or built for a direct reader of ``.sdag``) is read
+    instead. Both give the same path and the same floats.
+    """
+    summary = result._cp_summary
+    if summary is None:
+        if result._sdag is None:
+            summary = _pop_order_cp(
+                result.schedule,
+                result.pseudo_edges,
+                cache.graph_invariants(result.graph),
+            )
+        if summary is None:
+            sdag = result.sdag
+            _length, path = sdag.critical_path()
+            tcomp, tcomm = sdag.path_costs(path)
+            summary = (path, tcomp, tcomm, sdag.real_edges_on_path(path))
+        result._cp_summary = summary
+    return summary
+
+
+def _pop_order_cp(
+    schedule: Schedule,
+    pseudo_edges: Sequence[Tuple[str, str]],
+    inv: GraphInvariants,
+) -> Optional[CpSummary]:
+    """``G'``'s critical path from one reverse sweep over the pop order.
+
+    ``G'`` is the graph's real edges, weighted by the schedule's transfer
+    times, plus the zero-weight *pseudo_edges*; a pair that parallels a
+    real edge adds nothing, since the real edge already weighs at least
+    zero. When every edge runs forward in the pop order, as LoCBS's do,
+    the sweep meets each successor's level before it needs it and yields
+    the bottom levels :class:`~repro.graph.pseudo.ScheduleDAG` computes:
+    each is the vertex weight plus the same comparison ``max``, which does
+    not depend on the order it visits the successors in. The path is
+    :func:`~repro.graph.pseudo.critical_path_walk` over those levels.
+    ``None`` when an edge runs backward, for the caller to fall back to
+    building ``G'``.
+    """
+    succs = inv.succs
+    real = inv.volumes
+    comm = schedule.edge_comm_times
+    pseudo: Dict[str, List[str]] = {}
+    for src, dst in pseudo_edges:
+        pseudo.setdefault(src, []).append(dst)
+    vw: Dict[str, float] = {}
+    levels: Dict[str, float] = {}
+    try:
+        for placed in reversed(schedule):
+            v = placed.name
+            best = 0.0
+            for w in succs[v]:
+                cand = comm.get((v, w), 0.0) + levels[w]
+                if cand > best:
+                    best = cand
+            for w in pseudo.get(v, ()):
+                cand = levels[w]
+                if cand > best:
+                    best = cand
+            vw[v] = weight = placed.exec_duration
+            levels[v] = weight + best
+    except KeyError:  # a successor not yet swept: an edge runs backward
+        return None
+
+    def successors(v: str) -> Tuple[str, ...]:
+        return (*succs[v], *pseudo.get(v, ()))
+
+    def edge_weight(u: str, v: str) -> float:
+        return comm.get((u, v), 0.0) if (u, v) in real else 0.0
+
+    _length, path = critical_path_walk(
+        levels, successors, vw.__getitem__, edge_weight
+    )
+    tcomp = sum(vw[v] for v in path)
+    tcomm = 0.0
+    edges: List[Tuple[str, str, float]] = []
+    for u, v in zip(path, path[1:]):
+        w = edge_weight(u, v)
+        tcomm += w
+        if (u, v) in real:
+            edges.append((u, v, w))
+    return path, tcomp, tcomm, edges
 
 
 class _TrieNode:

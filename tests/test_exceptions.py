@@ -47,3 +47,8 @@ def test_catching_base_catches_all():
 def test_each_error_constructible_with_message(cls):
     err = cls("message")
     assert "message" in str(err)
+
+
+def test_graph_shape_error_is_graph_error_and_type_error():
+    assert issubclass(exc.GraphShapeError, exc.GraphError)
+    assert issubclass(exc.GraphShapeError, TypeError)

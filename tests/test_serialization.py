@@ -6,6 +6,7 @@ import pytest
 
 from repro import TaskGraph, load_graph, save_graph
 from repro.exceptions import EdgeVolumeError, GraphError, MissingFieldError
+from repro.exceptions import GraphShapeError
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.speedup import (
     AmdahlSpeedup,
@@ -103,3 +104,100 @@ class TestErrors:
         g.add_task("X", ExecutionProfile(Weird(), 1.0))
         with pytest.raises(GraphError, match="cannot serialize"):
             graph_to_dict(g)
+
+
+class TestShapeErrors:
+    """A field of the wrong type raises :class:`GraphShapeError`.
+
+    It is both a :class:`GraphError` and the :class:`TypeError` these
+    inputs raised before, so either ``except`` clause still catches it.
+    """
+
+    def _raises(self, doc, match):
+        with pytest.raises(GraphShapeError, match=match) as info:
+            graph_from_dict(doc)
+        assert isinstance(info.value, GraphError)
+        assert isinstance(info.value, TypeError)
+
+    def test_document_is_a_list(self):
+        self._raises([graph_to_dict(make_graph())], "graph document")
+
+    def test_model_is_null(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["model"] = None
+        self._raises(doc, "task model")
+
+    def test_model_is_a_list(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["model"] = [doc["tasks"][0]["model"]]
+        self._raises(doc, "task model")
+
+    @pytest.mark.parametrize("field", ["tasks", "edges"])
+    @pytest.mark.parametrize("value", [7, "T1", {"T1": {}}], ids=["int", "str", "dict"])
+    def test_tasks_or_edges_not_a_list(self, field, value):
+        doc = graph_to_dict(make_graph())
+        doc[field] = value
+        self._raises(doc, field)
+
+    def test_task_entry_is_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0] = "D"
+        self._raises(doc, "task entry")
+
+    def test_task_name_is_a_list(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["name"] = ["D"]
+        self._raises(doc, "task name")
+
+    @pytest.mark.parametrize("attrs", [["x"], "kind", 3])
+    def test_attrs_not_a_dict(self, attrs):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["attrs"] = attrs
+        self._raises(doc, "task attrs")
+
+    def test_attrs_key_not_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["attrs"] = {1: "x"}
+        self._raises(doc, "non-string key")
+
+    def test_data_volume_is_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["edges"][0]["data_volume"] = "1e6"
+        self._raises(doc, "data_volume")
+
+    def test_sequential_time_is_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["sequential_time"] = "10"
+        self._raises(doc, "sequential_time")
+
+    def test_edge_entry_is_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["edges"][0] = "D->A"
+        self._raises(doc, "edge entry")
+
+    def test_edge_endpoint_is_a_list(self):
+        doc = graph_to_dict(make_graph())
+        doc["edges"][0]["src"] = ["D"]
+        self._raises(doc, "edge src")
+
+    def test_serial_fraction_is_a_string(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][1]["model"]["serial_fraction"] = "0.25"
+        self._raises(doc, "amdahl model")
+
+    def test_table_times_not_a_dict(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][3]["model"]["times"] = [8.0, 5.0]
+        self._raises(doc, "table times")
+
+    def test_model_type_not_a_string_is_unknown(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["model"]["type"] = ["downey"]
+        with pytest.raises(GraphError, match="unknown speedup model"):
+            graph_from_dict(doc)
+
+    def test_non_string_task_names_still_load(self):
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["name"] = 5
+        doc["edges"][0]["src"] = 5
+        assert graph_from_dict(doc).tasks()[0] == 5
