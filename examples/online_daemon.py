@@ -4,7 +4,7 @@
 A Poisson stream of mixed-parallel jobs (Zipf-skewed template popularity)
 is driven through :class:`repro.online.OnlineSchedulerDaemon`. Each
 arrival is spliced into the *live* chart by the incremental placer —
-persistent timeline, placement index and cost cache across events — and
+persistent timeline and cost cache across events — and
 the differential mode replays every placement from an empty machine to
 prove the shortcut changes nothing. The run's tracer events are then
 folded into metrics and rendered as the explainability dashboard, whose

@@ -25,7 +25,9 @@ from numbers import Real
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple, Union
 
-from repro.exceptions import GraphError, GraphShapeError, MissingFieldError
+from repro.exceptions import (
+    GraphError, GraphShapeError, InvalidProfileError, MissingFieldError,
+)
 from repro.graph.taskgraph import TaskGraph
 from repro.speedup import (
     AmdahlSpeedup,
@@ -115,10 +117,12 @@ def _decode_model(doc: Dict[str, Any]) -> SpeedupModel:
         raise GraphError(f"unknown speedup model type {kind!r}")
     try:
         return entry[2](doc)
-    except GraphError:
+    except (GraphError, InvalidProfileError):
         raise
     except TypeError as err:  # a parameter that is not a number
         raise GraphShapeError(f"{kind} model: {err}") from None
+    except ValueError as err:  # a table width that is not an integer
+        raise InvalidProfileError(f"{kind} model: {err}") from None
 
 
 def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:

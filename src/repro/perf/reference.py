@@ -1,12 +1,12 @@
 """Naive reference implementations of the optimized scheduler hot paths.
 
-The incremental scheduling engine (heap ready queue, per-processor
-placement index, run-scoped cost cache) must not change a single produced
-schedule. This module preserves the *pre-optimization* code paths so that
-claim stays checkable forever:
+The incremental scheduling engine (heap ready queue, blocker queries on
+the chart's span owners, run-scoped cost cache) must not change a single
+produced schedule. This module preserves the *pre-optimization* code
+paths so that claim stays checkable forever:
 
 * :func:`scan_blockers` — the full-schedule O(n) blocker scan that
-  :meth:`repro.schedule.PlacementIndex.blockers` replaces;
+  :meth:`repro.schedule.ProcessorTimeline.blockers` replaces;
 * :func:`locbs_schedule_reference` — LoCBS with the original per-placement
   ``ready.sort`` (priority recomputed through a closure), a frozen copy of
   the seed hole scan (from-scratch ``idle_with_horizon`` at every candidate
@@ -118,11 +118,14 @@ def scan_blockers(
     *,
     tol: float = _PSEUDO_TOL,
 ) -> List[str]:
-    """Full-schedule blocker scan (the naive counterpart of the index).
+    """Full-schedule blocker scan, the oracle of the chart's query.
 
     Tasks ``ti`` with ``ft(ti) == st(tp)`` sharing a processor; when
     rounding leaves no exact match, the latest-finishing processor-sharing
-    task that ended before the start.
+    task that ended before the start. Production LoCBS asks the chart
+    instead (:meth:`repro.schedule.ProcessorTimeline.blockers`, which
+    bisects the rows of the placement's processors); over a chart whose
+    span owners are *schedule*'s placements the two answer alike.
     """
     mine = set(placement.processors)
     exact: List[str] = []

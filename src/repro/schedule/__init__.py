@@ -2,7 +2,6 @@
 
 from repro.schedule.types import PlacedTask, Schedule
 from repro.schedule.timeline import IdleSweep, ProcessorTimeline
-from repro.schedule.placement_index import PlacementIndex
 from repro.schedule.validation import validate_schedule
 from repro.schedule.metrics import (
     busy_time,
@@ -32,7 +31,6 @@ __all__ = [
     "Schedule",
     "ProcessorTimeline",
     "IdleSweep",
-    "PlacementIndex",
     "validate_schedule",
     "busy_time",
     "utilization",

@@ -28,6 +28,13 @@ incrementally (one ``bisect`` + slice-insert each per reservation):
 * ``_ends_unique`` — the deduplicated release times, so the slot search's
   candidate list is a slice instead of an O(intervals) rebuild.
 
+A span may carry an *owner*, ``(task, pop index)``. Each row maps its owned
+spans' ends (unique in a row: spans longer than ``EPS`` cannot share an end
+without overlapping) to their owners and keeps owned placements too short
+to be spans as sorted marks, so :meth:`blockers` answers LoCBS's pseudo-edge
+queries (paper Algorithm 2, steps 17-18) by bisecting the rows. Unowned
+spans, such as a context's processor-ready reservations, are no blockers.
+
 Every query is bit-compatible with the frozen seed chart
 (:class:`repro.perf.scalar_oracles.ScalarProcessorTimeline`) — the
 differential battery in ``tests/test_array_equivalence.py`` holds the two
@@ -43,16 +50,22 @@ fingerprints in ``tests/golden/scheduler_golden.json``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
 from operator import sub
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ScheduleError
+from repro.schedule.types import PlacedTask
 from repro.utils.intervals import EPS, Interval, IntervalSet
 
 __all__ = ["IdleSweep", "ProcessorTimeline"]
+
+#: the placement that reserved a span: ``(task, pop index)``
+Owner = Tuple[str, int]
+#: an owned finish as :meth:`ProcessorTimeline.blockers` reads it
+_Finish = Tuple[float, int, str]  # (finish, pop index, task)
 
 
 class ProcessorTimeline:
@@ -76,6 +89,8 @@ class ProcessorTimeline:
         "_ends_unique",
         "_eps_chain",
         "_eps_overlap",
+        "_owners",
+        "_marks",
     )
 
     def __init__(self, processors: Sequence[int]) -> None:
@@ -106,6 +121,10 @@ class ProcessorTimeline:
         #: EPS tolerance (the global busy count then over-counts; see
         #: :attr:`counts_exact`)
         self._eps_overlap = False
+        #: per row: owned span end -> its finish; per row with any: the
+        #: sorted finishes of owned placements too short to be spans
+        self._owners: List[Dict[float, _Finish]] = [{} for _ in range(n)]
+        self._marks: Dict[int, List[_Finish]] = {}
 
     # -- basic accessors ---------------------------------------------------------
 
@@ -135,20 +154,27 @@ class ProcessorTimeline:
 
     # -- mutation ------------------------------------------------------------------
 
-    def reserve(self, procs: Iterable[int], start: float, end: float) -> None:
+    def reserve(
+        self, procs: Iterable[int], start: float, end: float,
+        owner: Optional[Owner] = None,
+    ) -> None:
         """Mark ``[start, end)`` busy on *procs*; overlap raises.
 
         Zero-length reservations (``end <= start``) are ignored — they occur
         when a task's occupancy collapses (e.g. zero-cost redistribution
         before a zero-time task) and occupy nothing. The feasibility check
         runs on every processor before any row is touched, so a conflict
-        leaves the chart unmodified.
+        leaves the chart unmodified. An *owner* makes the reservation a
+        :meth:`blockers` candidate, a zero-length one included.
         """
         if end - start <= EPS:
+            if owner is not None:
+                self._mark(procs, end, owner)
             return
         plist = list(procs)
         row_of = self._row
         rowlist = [row_of[p] for p in plist]
+        fin = None if owner is None else (end, owner[1], owner[0])
         counts = self._counts
         starts_l, ends_l = self._starts_l, self._ends_l
         tol = start + EPS
@@ -173,6 +199,8 @@ class ProcessorTimeline:
             sl.insert(idx, start)
             el.insert(idx, end)
             counts[r] += 1
+            if fin is not None:
+                self._owners[r][end] = fin
         k = len(plist)
         i = bisect_right(self._all_starts, start)
         self._all_starts[i:i] = [start] * k
@@ -188,43 +216,62 @@ class ProcessorTimeline:
             eu.insert(i, end)
 
     def reserve_many(
-        self, spans: Iterable[Tuple[Iterable[int], float, float]]
+        self,
+        spans: Iterable[Tuple[Iterable[int], float, float]],
+        owners: Optional[Iterable[Owner]] = None,
     ) -> None:
         """:meth:`reserve` each ``(procs, start, end)`` span, in one load.
+
+        *owners*, when given, holds each span's owner, as :meth:`reserve`
+        takes it.
 
         Leaves the chart as the sequential :meth:`reserve` calls would,
         including rows that already hold spans: every touched row and the
         global lists are re-sorted once, and ``counts_exact`` and the
         release-time fast path (the EPS-overlap and EPS-chain flags)
         come out as the sequential calls would set them. Zero-length spans
-        are ignored. A span that :meth:`reserve` would reject — one
+        occupy nothing. A span that :meth:`reserve` would reject — one
         overlapping another beyond the ``EPS`` tolerance — raises
         :class:`~repro.exceptions.ScheduleError` before any row is touched
         (the tolerance comparisons are :meth:`reserve`'s, taken in start
         order).
         """
         row_of = self._row
-        #: touched row -> (its starts, its ends), existing and new, unsorted
-        rows: Dict[int, Tuple[List[float], List[float]]] = {}
+        #: touched row -> (its starts, its ends), existing and new, unsorted,
+        #: and its new owned spans' finishes by end
+        rows: Dict[int, Tuple[List[float], List[float], Dict[float, _Finish]]] = {}
         new_starts: List[float] = []
         new_ends: List[float] = []
-        for procs, start, end in spans:
+        #: (procs, end, owner) of the owned zero-length spans
+        marked: List[Tuple[Iterable[int], float, Owner]] = []
+        pairs = (
+            zip(spans, repeat(None)) if owners is None
+            else zip(spans, owners, strict=True)
+        )
+        for (procs, start, end), owner in pairs:
             if end - start <= EPS:
+                if owner is not None:
+                    marked.append((procs, end, owner))
                 continue
+            fin = None if owner is None else (end, owner[1], owner[0])
             for p in procs:
                 r = row_of[p]
                 row = rows.get(r)
                 if row is None:
-                    row = rows[r] = (self._starts_l[r][:], self._ends_l[r][:])
+                    row = rows[r] = (
+                        self._starts_l[r][:], self._ends_l[r][:], {}
+                    )
                 row[0].append(start)
                 row[1].append(end)
+                if fin is not None:
+                    row[2][end] = fin
                 new_starts.append(start)
                 new_ends.append(end)
         overlap = self._eps_overlap
         # Spans of one row cannot nest without conflicting, so sorting the
         # starts and the ends separately keeps each span's pair aligned,
         # and a conflict anywhere shows up between neighbours.
-        for r, (sl, el) in rows.items():
+        for r, (sl, el, _) in rows.items():
             sl.sort()
             el.sort()
             for prev_end, start in zip(el, islice(sl, 1, None)):
@@ -234,11 +281,14 @@ class ProcessorTimeline:
                     )
                 if prev_end > start:
                     overlap = True
-        for r, (sl, el) in rows.items():
+        for r, (sl, el, owned) in rows.items():
             self._starts_l[r] = sl
             self._ends_l[r] = el
             self._counts[r] = len(sl)
+            self._owners[r].update(owned)
         self._eps_overlap = overlap
+        for procs, end, owner in marked:
+            self._mark(procs, end, owner)
         self._all_starts.extend(new_starts)
         self._all_starts.sort()
         self._all_ends.extend(new_ends)
@@ -248,6 +298,12 @@ class ProcessorTimeline:
             # a chain shows up between neighbouring distinct release times
             gaps = map(sub, islice(eu, 1, None), eu)
             self._eps_chain = min(gaps, default=math.inf) <= EPS
+
+    def _mark(self, procs: Iterable[int], end: float, owner: Owner) -> None:
+        """Record an owned placement too short to be a span on *procs*."""
+        fin = (end, owner[1], owner[0])
+        for p in procs:
+            insort(self._marks.setdefault(self._row[p], []), fin)
 
     def _fits(self, proc: int, start: float, end: float) -> bool:
         """True if ``[start, end)`` overlaps no busy interval of *proc*."""
@@ -439,14 +495,62 @@ class ProcessorTimeline:
             merged = merged.union(self.busy_intervals(p))
         return merged.first_fit(earliest, duration)
 
+    def blockers(
+        self, placement: PlacedTask, blocked_start: float, *, tol: float
+    ) -> List[str]:
+        """Owned placements whose completion released *placement*'s processors.
+
+        The answer of :func:`repro.perf.reference.scan_blockers` over the
+        owned placements, read from the rows of *placement*'s processors:
+        those finishing within *tol* of *blocked_start* are the exact
+        blockers, returned sorted; when none is, the latest one finishing
+        before ``blocked_start + tol``, the earliest placed among equal
+        finishes.
+        """
+        exact: Set[str] = set()
+        latest: Optional[_Finish] = None
+        me = placement.name
+        top = blocked_start + tol
+        reach = top + tol  # an exact finish can round to just above *top*
+        marks = self._marks
+        for p in placement.processors:
+            r = self._row[p]
+            el = self._ends_l[r]
+            # the row's owned spans ending by *reach* (their finishes kept
+            # by end), then its marks (a sorted list, read by index), each
+            # walked latest finish first
+            walks = ((el, self._owners[r].get, bisect_right(el, reach)),)
+            if marks and r in marks:
+                ml = marks[r]
+                walks += ((range(len(ml)), ml.__getitem__, len(ml)),)
+            for keys, finish_of, i in walks:
+                while i:
+                    i -= 1
+                    fin = finish_of(keys[i])
+                    if fin is None or fin[2] == me:
+                        continue
+                    f, seq, name = fin
+                    if abs(f - blocked_start) <= tol:
+                        exact.add(name)
+                    elif f < top:
+                        if latest is None or f > latest[0] or (
+                            f == latest[0] and seq < latest[1]
+                        ):
+                            latest = fin
+                        elif f < latest[0] and f < blocked_start:
+                            break  # under the band: the rest finish earlier
+        if exact:
+            return sorted(exact)
+        return [] if latest is None else [latest[2]]
+
     # -- invariants (used by property tests) ----------------------------------------
 
     def check_invariants(self) -> None:
         """Raise if any processor's busy intervals are unsorted or overlap.
 
-        Also verifies the row lists, their counts and the global boundary
-        lists agree — :meth:`reserve` maintains them jointly and they must
-        never drift.
+        Also verifies the row lists, their counts, their owners and the
+        global boundary lists agree — :meth:`reserve` maintains them
+        jointly and they must never drift.
         """
         n_spans = 0
         for i, p in enumerate(self._procs):
@@ -464,6 +568,8 @@ class ProcessorTimeline:
                         f"processor {p} busy intervals overlap near {s}"
                     )
                 prev_end = e
+            if not self._owners[i].keys() <= set(el):
+                raise ScheduleError(f"processor {p} owns a span it lacks")
         if len(self._all_starts) != n_spans or len(self._all_ends) != n_spans:
             raise ScheduleError("global boundary lists out of sync")
         if sorted(self._all_starts) != self._all_starts or sorted(

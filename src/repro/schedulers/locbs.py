@@ -38,13 +38,7 @@ from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedule import (
-    IdleSweep,
-    PlacedTask,
-    PlacementIndex,
-    ProcessorTimeline,
-    Schedule,
-)
+from repro.schedule import IdleSweep, PlacedTask, ProcessorTimeline, Schedule
 from repro.schedulers.base import SchedulingResult, clamp_allocation
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache, GraphInvariants
@@ -326,6 +320,7 @@ def _locbs_pass(
     provenance: Optional[ProvenanceRecorder],
     base: Optional[SchedulingResult],
     plan: Optional[Plan],
+    pairs: bool = True,
 ) -> Tuple[Schedule, List[Tuple[str, str]], int]:
     """One Algorithm 2 pass placing *graph* into *timeline* (mutated).
 
@@ -334,6 +329,10 @@ def _locbs_pass(
     base in bulk, the rest are hole-scanned one by one. Returns the
     schedule in pop order, the ``(blocker, task)`` pseudo-edge pairs in
     pop order and the count of copied placements.
+
+    Each placement reserves its span owned by ``(task, pop index)``, so
+    the chart answers the pass's blocker queries. With *pairs* false the
+    spans stay unowned and no pairs are computed: the caller takes none.
     """
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
     if plan is None:
@@ -347,13 +346,12 @@ def _locbs_pass(
         probes_base = (_ps["probes_considered"], _ps["probes_bound_pruned"])
 
     schedule = Schedule(cluster, scheduler="locbs")
-    index = PlacementIndex()
     pseudo_edges: List[Tuple[str, str]] = []
     reused = 0 if base is None else _shared_prefix(plan, base.schedule)
     if reused:
         _load_prefix(
-            base, reused, inv, timeline, schedule, index, pseudo_edges,
-            context, tracer,
+            base, reused, inv, timeline, schedule, pseudo_edges, context,
+            tracer,
         )
 
     for tp, np_t in plan[reused:]:
@@ -365,17 +363,19 @@ def _locbs_pass(
             tracer.event(
                 "placement_decision", **provenance.decisions[-1].to_dict()
             )
-        timeline.reserve(placement.processors, placement.start, placement.finish)
+        timeline.reserve(
+            placement.processors, placement.start, placement.finish,
+            (tp, len(schedule)) if pairs else None,
+        )
         schedule.place(placement)
-        index.add(placement)
         if tracer.enabled:
             _announce_placement(tracer, placement)
         schedule.edge_comm_times.update(comm_times)
 
         # Pseudo-edges (Algorithm 2, steps 17-18): the task waited on
         # resources, not data — record which finishing tasks released them.
-        if placement.start > est_tp + _PSEUDO_TOL:
-            for blocker in index.blockers(
+        if pairs and placement.start > est_tp + _PSEUDO_TOL:
+            for blocker in timeline.blockers(
                 placement, placement.start, tol=_PSEUDO_TOL
             ):
                 pseudo_edges.append((blocker, tp))
@@ -413,7 +413,6 @@ def _load_prefix(
     inv: GraphInvariants,
     timeline: ProcessorTimeline,
     schedule: Schedule,
-    index: PlacementIndex,
     pseudo_edges: List[Tuple[str, str]],
     context: Optional["SchedulingContext"],
     tracer: Tracer,
@@ -423,17 +422,18 @@ def _load_prefix(
     A placement depends only on the task's width, its parents'
     placements and the chart the placements before it built, so while
     the pop orders agree the base's placements are the ones a hole scan
-    would find. They go onto the chart in one bulk load, into the
-    schedule and the placement index in pop order (sequence numbers and
-    blocker tie-breaks as in a cold pass). Their inbound transfer times
-    and pseudo-edge pairs are the leading entries of the base's, which
-    are both filled in pop order.
+    would find. They go onto the chart in one bulk load, owned by their
+    pop indices as in a cold pass, and into the schedule in pop order.
+    Their inbound transfer times and pseudo-edge pairs are the leading
+    entries of the base's, which are both filled in pop order.
     """
     prefix = list(islice(base.schedule, k))
-    timeline.reserve_many((p.processors, p.start, p.finish) for p in prefix)
+    timeline.reserve_many(
+        [(p.processors, p.start, p.finish) for p in prefix],
+        [(p.name, i) for i, p in enumerate(prefix)],
+    )
     for placement in prefix:
         schedule.place(placement)
-        index.add(placement)
     comm = schedule.edge_comm_times
     comm.update(
         takewhile(
@@ -520,7 +520,7 @@ def splice_schedule(
     return list(_locbs_pass(
         graph, cluster, allocation, timeline, options,
         SchedulingContext(release_floor=release_floor), NULL_TRACER,
-        cost_cache, None, None, None,
+        cost_cache, None, None, None, pairs=False,
     )[0])
 
 

@@ -29,7 +29,7 @@ class TableSpeedup(SpeedupModel):
             raise ProfileError("TableSpeedup requires a non-empty time table")
         clean: Dict[int, float] = {}
         for p, t in times.items():
-            p = check_positive_int(p, "processor count")
+            p = checked_parameter(check_positive_int, p, "processor count")
             clean[p] = checked_parameter(check_positive, t, f"time at p={p}")
         if 1 not in clean:
             raise ProfileError("TableSpeedup table must include an entry for p=1")

@@ -49,6 +49,7 @@ from repro.obs import Tracer
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
+    scan_blockers,
 )
 from repro.perf.scalar_oracles import (
     ScalarIdleSweep,
@@ -65,7 +66,7 @@ from repro.redistribution import (
     volume_matrix,
 )
 from repro.redistribution.blockcyclic import pair_fractions
-from repro.schedule import IdleSweep, ProcessorTimeline
+from repro.schedule import IdleSweep, ProcessorTimeline, Schedule
 from repro.schedulers import (
     SCHEDULERS,
     get_scheduler,
@@ -76,7 +77,12 @@ from repro.schedulers import (
 )
 from repro.schedulers.context import ExternalInput, SchedulingContext
 from repro.schedulers.costcache import CostCache
-from repro.schedulers.locbs import LocbsOptions, locbs_plan, locbs_schedule
+from repro.schedulers.locbs import (
+    _PSEUDO_TOL,
+    LocbsOptions,
+    locbs_plan,
+    locbs_schedule,
+)
 from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
 from repro.speedup import AmdahlSpeedup, ExecutionProfile
@@ -998,6 +1004,99 @@ class TestPrefixReuseDifferential:
                 default=0,
             )
             assert result.placements_reused == best, i
+
+
+# -- pseudo-edge pairs --------------------------------------------------------
+#
+# A pass's ``(blocker, task)`` pairs come from the chart's blocker query.
+# The replay asks the full-schedule scan the same questions over the
+# pass's own pop order and schedule (not the reference pass's), so it
+# checks the query alone, not the hole scan that placed the tasks.
+
+
+def _scan_replayed_pairs(graph, result, context=None):
+    """The pairs ``scan_blockers`` gives, placing *result*'s pops in turn."""
+    schedule = result.schedule
+    comm = schedule.edge_comm_times
+    placed = Schedule(schedule.cluster, scheduler="replay")
+    pairs = []
+    for placement in schedule:
+        tp = placement.name
+        placed.place(placement)
+        # est(tp): the latest data arrival, as the pass computes it
+        arrivals = [
+            schedule[u].finish + comm[(u, tp)] for u in graph.predecessors(tp)
+        ]
+        if context is not None:
+            arrivals += [
+                ext.ready_time + comm[(f"__ext__{ext.label}", tp)]
+                for ext in context.inputs_for(tp)
+            ]
+        if placement.start > max(arrivals, default=0.0) + _PSEUDO_TOL:
+            pairs += [
+                (blocker, tp)
+                for blocker in scan_blockers(placed, placement, placement.start)
+            ]
+    return pairs
+
+
+class TestPseudoPairsReplay:
+    @given(case=_reuse_case(), backfill=st.booleans(), overlap=st.booleans())
+    @fuzz_settings
+    def test_tight_passes_cold_and_resumed(self, case, backfill, overlap):
+        """Sub-EPS tasks, with and without a processor-ready context."""
+        graph, procs, alloc, grown, context = case
+        cluster = Cluster(
+            num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        opts = LocbsOptions(backfill=backfill)
+        cache = CostCache(cluster)
+        base = locbs_schedule(
+            graph, cluster, alloc, opts, context=context, cost_cache=cache
+        )
+        resumed = locbs_schedule(
+            graph, cluster, grown, opts, context=context, cost_cache=cache,
+            base=base,
+        )
+        for result in (base, resumed):
+            assert list(result.pseudo_edges) == _scan_replayed_pairs(
+                graph, result, context
+            )
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_processor_ready_context_passes(self, workload):
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        context = SchedulingContext(
+            processor_ready={0: 2.0, 1: 0.5, 3: 1e-3, 6: 4.0}
+        )
+        alloc = {t: 1 + (i % 3) for i, t in enumerate(graph.tasks())}
+        cold = locbs_schedule(graph, cluster, alloc, context=context)
+        last, width = _pop_order(cold)[-1]
+        grown = dict(alloc)
+        grown[last] = width % 8 + 1
+        resumed = locbs_schedule(
+            graph, cluster, grown, context=context, base=cold
+        )
+        assert resumed.placements_reused == graph.num_tasks - 1
+        for result in (cold, resumed):
+            assert result.pseudo_edges
+            assert list(result.pseudo_edges) == _scan_replayed_pairs(
+                graph, result, context
+            )
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_lookahead_pass(self, workload, monkeypatch):
+        """The cold and prefix-resumed passes of a LoC-MPS walk."""
+        calls = _record_passes(monkeypatch)
+        graph = WORKLOADS[workload]()
+        LocMpsScheduler(look_ahead_depth=4).schedule(graph, _cluster())
+        assert any(base is None for _, _, base, _ in calls)
+        assert any(result.placements_reused for *_, result in calls)
+        for *_, result in calls:
+            assert list(result.pseudo_edges) == _scan_replayed_pairs(
+                graph, result
+            )
 
 
 class TestNoBackfillLadder:

@@ -1,7 +1,7 @@
 """The incremental scheduling engine must not change a single schedule.
 
 Every optimization of the LoCBS/LoC-MPS hot paths — heap ready queue,
-placement index, incremental idle sweep, decorated-sort subset selection,
+blocker queries on the chart, incremental idle sweep, decorated-sort subset selection,
 run-scoped cost cache, cached graph invariants — is property-tested here
 against the naive implementations preserved in :mod:`repro.perf.reference`,
 and the full registry is pinned by the golden fingerprint file
@@ -25,13 +25,7 @@ from repro.perf.reference import (
     scan_blockers,
 )
 from repro.redistribution import RedistributionModel
-from repro.schedule import (
-    IdleSweep,
-    PlacedTask,
-    PlacementIndex,
-    ProcessorTimeline,
-    Schedule,
-)
+from repro.schedule import IdleSweep, PlacedTask, ProcessorTimeline, Schedule
 from repro.schedulers.base import edge_cost_map
 from repro.schedulers.costcache import CostCache
 from repro.schedulers.locbs import (
@@ -42,6 +36,7 @@ from repro.schedulers.locbs import (
     locbs_schedule,
 )
 from repro.schedulers.locmps import LocMpsScheduler
+from repro.utils.intervals import EPS
 from repro.workloads.suites import paper_suite
 
 from .helpers import build_random_graph
@@ -91,16 +86,15 @@ class TestReadyQueue:
         assert len(queue) == 1 and queue
 
 
-# -- placement index ----------------------------------------------------------
+# -- blocker queries on the chart ---------------------------------------------
 
 
-def _random_schedule_and_index(seed, num_procs=6, num_tasks=40):
-    """Random non-overlapping placements committed to both structures."""
+def _random_schedule_and_chart(seed, num_procs=6, num_tasks=40):
+    """Random non-overlapping placements, owned on the chart, in order."""
     rng = random.Random(seed)
     cluster = Cluster(num_processors=num_procs, bandwidth=1e9)
     timeline = ProcessorTimeline(cluster.processors)
     schedule = Schedule(cluster, scheduler="test")
-    index = PlacementIndex()
     placements = []
     for i in range(num_tasks):
         width = rng.randint(1, num_procs)
@@ -114,17 +108,44 @@ def _random_schedule_and_index(seed, num_procs=6, num_tasks=40):
             name=f"t{i}", start=start, exec_start=start,
             finish=start + dur, processors=procs,
         )
-        timeline.reserve(procs, p.start, p.finish)
+        timeline.reserve(procs, p.start, p.finish, (p.name, len(schedule)))
         schedule.place(p)
-        index.add(p)
         placements.append(p)
-    return schedule, index, placements
+    return schedule, timeline, placements
 
 
-class TestPlacementIndex:
+def _task(name, start, finish, procs):
+    return PlacedTask(
+        name=name, start=start, exec_start=start, finish=finish,
+        processors=procs,
+    )
+
+
+def _chart_of(placements, num_procs=2, ready=None):
+    """*placements* owned on a chart (after *ready*'s unowned spans)."""
+    cluster = Cluster(num_processors=num_procs, bandwidth=1e9)
+    timeline = ProcessorTimeline(cluster.processors)
+    for proc, until in (ready or {}).items():
+        timeline.reserve([proc], 0.0, until)
+    schedule = Schedule(cluster, scheduler="test")
+    for p in placements:
+        timeline.reserve(p.processors, p.start, p.finish, (p.name, len(schedule)))
+        schedule.place(p)
+    return schedule, timeline
+
+
+def _both_answers(placements, query, blocked_start, **chart):
+    schedule, timeline = _chart_of(placements, **chart)
+    return (
+        timeline.blockers(query, blocked_start, tol=1e-6),
+        scan_blockers(schedule, query, blocked_start, tol=1e-6),
+    )
+
+
+class TestChartBlockers:
     @pytest.mark.parametrize("seed", range(8))
     def test_blockers_match_full_scan(self, seed):
-        schedule, index, placements = _random_schedule_and_index(seed)
+        schedule, timeline, placements = _random_schedule_and_chart(seed)
         rng = random.Random(seed + 1000)
         for p in placements:
             for blocked_start in (
@@ -133,11 +154,81 @@ class TestPlacementIndex:
                 float(rng.randint(0, 40)),
                 p.start + 1e-7,  # inside the tolerance band
             ):
-                assert index.blockers(
+                assert timeline.blockers(
                     p, blocked_start, tol=1e-6
                 ) == scan_blockers(schedule, p, blocked_start, tol=1e-6), (
                     f"divergence for {p.name} at {blocked_start}"
                 )
+
+    def test_unowned_ready_span_is_no_blocker(self):
+        # processor 0 is held by a context until 3.0: not a placement,
+        # so the earlier owned finish on processor 1 is the answer
+        early = _task("early", 0.0, 1.0, (1,))
+        query = _task("q", 3.0, 4.0, (0, 1))
+        chart, scan = _both_answers([early, query], query, 3.0, ready={0: 3.0})
+        assert chart == scan == ["early"]
+        alone = _task("q", 3.0, 4.0, (0,))
+        chart, scan = _both_answers([alone], alone, 3.0, ready={0: 3.0})
+        assert chart == scan == []
+
+    def test_sub_eps_placement_is_an_exact_blocker(self):
+        # the blip occupies no span, yet it finished where the query starts
+        before = _task("before", 0.0, 1.0, (0,))
+        blip = _task("blip", 1.0, 1.0 + EPS / 2, (0,))
+        query = _task("q", 1.0 + EPS / 2, 2.0, (0,))
+        chart, scan = _both_answers([before, blip, query], query, 1.5)
+        assert chart == scan == ["blip"]
+        chart, scan = _both_answers(
+            [before, blip, query], query, 1.0 + EPS / 2
+        )
+        assert chart == scan == ["before", "blip"]
+
+    def test_eps_overlapping_row_spans(self):
+        # "b" starts EPS/2 before "a" ends: one row, overlapping spans
+        a = _task("a", 0.0, 1.0, (0,))
+        b = _task("b", 1.0 - EPS / 2, 2.0, (0,))
+        query = _task("q", 3.0, 4.0, (0,))
+        chart, scan = _both_answers([a, b, query], query, 1.0 - EPS / 2)
+        assert chart == scan == ["a"]
+        chart, scan = _both_answers([a, b, query], query, 3.0)
+        assert chart == scan == ["b"]
+
+    def test_equal_finishes_keep_placement_order(self):
+        # "z" placed before "a": the earlier placement wins the tie
+        z = _task("z", 0.0, 1.0, (0,))
+        a = _task("a", 0.5, 1.0, (1,))
+        query = _task("q", 2.0, 3.0, (0, 1))
+        chart, scan = _both_answers([z, a, query], query, 2.0)
+        assert chart == scan == ["z"]
+        chart, scan = _both_answers([a, z, query], query, 2.0)
+        assert chart == scan == ["a"]
+        # marks tie with a span: the first-placed mark wins, though the
+        # later one is met first
+        m0 = _task("m0", 1.0 - EPS / 2, 1.0, (1,))
+        m2 = _task("m2", 1.0 - EPS / 2, 1.0, (1,))
+        chart, scan = _both_answers([m0, z, m2, query], query, 2.0)
+        assert chart == scan == ["m0"]
+
+    def test_exact_finish_above_start_plus_tol(self):
+        # |finish - start| rounds down to tol while start + tol rounds
+        # below finish: still an exact blocker, as in the scan
+        start, tol = 2.117582368135751e-22, 3e-6
+        done = _task("done", 0.0, 3.0000000000000005e-06, (0,))
+        query = _task("q", 1.0, 2.0, (0,))
+        schedule, timeline = _chart_of([done, query])
+        assert start + tol < done.finish
+        assert timeline.blockers(query, start, tol=tol) == scan_blockers(
+            schedule, query, start, tol=tol
+        ) == ["done"]
+
+    def test_tolerance_boundary_follows_the_scan(self):
+        # |finish - start| rounds above tol although finish >= start - tol:
+        # "near" is no exact blocker, so only "exact" is
+        near = _task("near", 0.0, 0.500000004, (0,))
+        exact = _task("exact", 0.0, 0.500001004, (1,))
+        query = _task("q", 0.500001004, 1.0, (0, 1))
+        chart, scan = _both_answers([near, exact, query], query, query.start)
+        assert chart == scan == ["exact"]
 
 
 # -- idle sweep ---------------------------------------------------------------
@@ -296,9 +387,7 @@ class TestLocbsEquivalence:
         ref = locbs_schedule_reference(graph, cluster, alloc)
         assert _placement_rows(fast.schedule) == _placement_rows(ref.schedule)
         assert fast.schedule.edge_comm_times == ref.schedule.edge_comm_times
-        assert sorted(fast.sdag.pseudo_edges()) == sorted(
-            ref.sdag.pseudo_edges()
-        )
+        assert fast.sdag.pseudo_edges() == ref.sdag.pseudo_edges()
 
     @pytest.mark.parametrize(
         "options",

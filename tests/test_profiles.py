@@ -6,6 +6,7 @@ import pytest
 
 from repro import exceptions
 from repro.exceptions import InvalidProfileError, ProfileError
+from repro.graph.serialization import graph_from_dict
 from repro.speedup import (
     AmdahlSpeedup,
     DowneySpeedup,
@@ -124,6 +125,23 @@ class TestInvalidProfileError:
     def test_bad_downey_parameters(self, A, sigma):
         with pytest.raises(InvalidProfileError):
             DowneySpeedup(A, sigma)
+
+    @pytest.mark.parametrize("width", ["x", "2.5", "0", "-1"])
+    def test_bad_table_width_key_in_a_graph_document(self, width):
+        doc = {
+            "tasks": [
+                {
+                    "name": "t",
+                    "sequential_time": 1.0,
+                    "model": {"type": "table", "times": {"1": 1.0, width: 0.5}},
+                }
+            ],
+            "edges": [],
+        }
+        with pytest.raises(InvalidProfileError) as info:
+            graph_from_dict(doc)
+        assert isinstance(info.value, ProfileError)
+        assert isinstance(info.value, ValueError)
 
     def test_non_int_width_keeps_type_error(self):
         p = ExecutionProfile(LinearSpeedup(), 1.0)

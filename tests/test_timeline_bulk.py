@@ -3,9 +3,10 @@
 A LoCBS pass that resumes from a memoized pass loads the shared prefix
 of placements onto its chart in one call. The chart must come out
 exactly as the one-by-one reservations would leave it — rows, global
-boundary lists, release times and the two EPS flags that switch the
-slot search between its fast and exact paths — also over rows that
-already hold a context's reservations.
+boundary lists, release times, the two EPS flags that switch the
+slot search between its fast and exact paths, and the span owners the
+blocker queries read — also over rows that already hold a context's
+(unowned) reservations.
 
 Times sit on a half-unit grid, nudged by fractions of ``EPS``: spans
 abut exactly, abut within ``EPS``, strictly overlap inside the
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ScheduleError
-from repro.schedule import ProcessorTimeline
+from repro.schedule import PlacedTask, ProcessorTimeline
 from repro.utils.intervals import EPS
 
 bulk_settings = settings(
@@ -88,6 +89,22 @@ def _assert_same_chart(bulk, seq):
     bulk.check_invariants()
 
 
+def _assert_same_blockers(bulk, seq, spans, owners):
+    """Both charts name the same blockers for every owned span's task."""
+    assert bulk._owners == seq._owners
+    assert bulk._marks == seq._marks
+    for (procs, start, end), (name, _) in zip(spans, owners):
+        # a nudge can leave a zero-length span ending before its start
+        query = PlacedTask(
+            name=name, start=start, exec_start=start, finish=max(start, end),
+            processors=procs,
+        )
+        for blocked_start in (start, end, start + EPS / 2, start + 0.5):
+            assert bulk.blockers(query, blocked_start, tol=1e-6) == (
+                seq.blockers(query, blocked_start, tol=1e-6)
+            )
+
+
 class TestBulkLoadDifferential:
     @given(case=_chart_case(), split=st.integers(min_value=0, max_value=14))
     @bulk_settings
@@ -95,17 +112,21 @@ class TestBulkLoadDifferential:
         num_procs, ready, spans = case
         seq = _context_chart(num_procs, ready)
         accepted = []
-        for procs, start, end in spans:
+        owners = []
+        for i, (procs, start, end) in enumerate(spans):
+            owner = (f"s{i}", len(owners))
             try:
-                seq.reserve(procs, start, end)
+                seq.reserve(procs, start, end, owner)
             except ScheduleError:
                 continue
             accepted.append((procs, start, end))
+            owners.append(owner)
         bulk = _context_chart(num_procs, ready)
         # one load into the context's rows, or two loads back to back
-        bulk.reserve_many(accepted[:split])
-        bulk.reserve_many(accepted[split:])
+        bulk.reserve_many(accepted[:split], owners[:split])
+        bulk.reserve_many(accepted[split:], owners[split:])
         _assert_same_chart(bulk, seq)
+        _assert_same_blockers(bulk, seq, accepted, owners)
 
     @given(case=_chart_case())
     @bulk_settings
