@@ -25,9 +25,13 @@ from repro.utils.validation import check_non_negative
 __all__ = ["Task", "TaskGraph"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Task:
     """One malleable parallel task.
+
+    Frozen: a graph's :attr:`~TaskGraph.revision` counts only added tasks
+    and edges, so caches keyed by it (``CostCache.graph_invariants``) rely
+    on a task's profile never being reassigned.
 
     Attributes
     ----------

@@ -91,7 +91,10 @@ class ScalarProcessorTimeline:
         for p in plist:
             idx = bisect_left(self._starts[p], start)
             self._starts[p].insert(idx, start)
-            self._ends[p].insert(idx, end)
+            # ends keep their own order: a span within EPS of one with the
+            # same start may end first
+            ends = self._ends[p]
+            ends.insert(bisect_right(ends, end), end)
         insort(self._release_times, end)
 
     def _fits(self, proc: int, start: float, end: float) -> bool:

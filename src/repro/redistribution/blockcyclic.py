@@ -114,9 +114,8 @@ def locality_fraction(src: Sequence[int], dst: Sequence[int]) -> float:
     return _local_fraction_cached(s, d)
 
 
-@lru_cache(maxsize=1 << 18)
-def _local_fraction_cached(src: Tuple[int, ...], dst: Tuple[int, ...]) -> float:
-    """Cached scalar local fraction — the slot search's hottest query.
+def _local_fraction(src: Tuple[int, ...], dst: Tuple[int, ...]) -> float:
+    """Scalar local fraction of two ordered, validated processor tuples.
 
     Identical tuples short-circuit without touching the pattern: every block
     stays put when source and destination layouts coincide. Disjoint sets
@@ -140,6 +139,13 @@ def _local_fraction_cached(src: Tuple[int, ...], dst: Tuple[int, ...]) -> float:
         if a is not None and (a - b) % g == 0:
             hits += 1
     return hits / lcm(p, q)
+
+
+#: :func:`_local_fraction` for callers outside a scheduling run (schedule
+#: validation, the simulator, the public fraction queries). A LoC-MPS run
+#: memoizes its own pairs in its ``CostCache``, so this process-wide memo
+#: stays at a fixed size instead of growing with every schedule made.
+_local_fraction_cached = lru_cache(maxsize=4096)(_local_fraction)
 
 
 def nonlocal_fraction(src: Sequence[int], dst: Sequence[int]) -> float:

@@ -15,11 +15,12 @@ Two levels of fidelity, matching how the paper uses them:
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.cluster import Cluster
 from repro.redistribution.blockcyclic import (
     _as_proc_tuple,
+    _local_fraction,
     _local_fraction_cached,
     volume_matrix,
 )
@@ -53,6 +54,24 @@ class RedistributionModel:
         """Allocation-time estimate (no concrete processor sets yet)."""
         return estimate_edge_cost(np_src, np_dst, volume, self.cluster.bandwidth)
 
+    def pair_cost(
+        self, src_procs: Sequence[int], dst_procs: Sequence[int]
+    ) -> Tuple[float, float]:
+        """The volume-free part of :meth:`transfer_time`, uncached.
+
+        Returns ``(nonlocal fraction, aggregate bandwidth)`` of the two
+        ordered processor sets; a transfer of ``volume > 0`` bytes takes
+        ``volume * fraction / bandwidth`` (zero when the fraction is not
+        positive). Callers that price many volumes per pair — the LoCBS
+        hole scan through its run's ``CostCache`` — memoize this instead
+        of the per-volume times.
+        """
+        src, dst = tuple(src_procs), tuple(dst_procs)
+        return (
+            1.0 - _local_fraction(src, dst),
+            min(len(src), len(dst)) * self.cluster.bandwidth,
+        )
+
     def transfer_time(
         self, src_procs: Sequence[int], dst_procs: Sequence[int], volume: float
     ) -> float:
@@ -60,7 +79,9 @@ class RedistributionModel:
 
         Only non-local bytes are transferred; they move at the aggregate
         bandwidth ``min(|src|, |dst|) * bw``. Identical ordered layouts (the
-        DATA schedule, or a perfectly reused placement) cost zero.
+        DATA schedule, or a perfectly reused placement) cost zero. Equals
+        pricing *volume* with :meth:`pair_cost`, through a small
+        process-wide memo of the fractions.
         """
         if volume < 0:
             check_non_negative(volume, "volume")

@@ -196,8 +196,13 @@ class ProcessorTimeline:
                 idx < counts[r] and sl[idx] < end
             ):
                 self._eps_overlap = True
+                # the span may end before one that starts no later (a
+                # same-start span accepted within EPS), so its end takes
+                # its own place: the row's ends must stay sorted
+                el.insert(bisect_right(el, end), end)
+            else:
+                el.insert(idx, end)
             sl.insert(idx, start)
-            el.insert(idx, end)
             counts[r] += 1
             if fin is not None:
                 self._owners[r][end] = fin
@@ -548,9 +553,10 @@ class ProcessorTimeline:
     def check_invariants(self) -> None:
         """Raise if any processor's busy intervals are unsorted or overlap.
 
-        Also verifies the row lists, their counts, their owners and the
-        global boundary lists agree — :meth:`reserve` maintains them
-        jointly and they must never drift.
+        Also verifies each row's starts and ends are each sorted, and that
+        the row lists, their counts, their owners and the global boundary
+        lists agree — :meth:`reserve` maintains them jointly and they must
+        never drift.
         """
         n_spans = 0
         for i, p in enumerate(self._procs):
@@ -559,6 +565,8 @@ class ProcessorTimeline:
             sl, el = self._starts_l[i], self._ends_l[i]
             if len(sl) != cnt or len(el) != cnt:
                 raise ScheduleError(f"processor {p} span count mismatch")
+            if sorted(sl) != sl or sorted(el) != el:
+                raise ScheduleError(f"processor {p} span starts or ends unsorted")
             prev_end = -math.inf
             for s, e in zip(sl, el):
                 if e - s <= EPS:

@@ -3,25 +3,27 @@
 The LoC-MPS outer loop re-invokes LoCBS once per look-ahead step, and each
 step changes the allocation of only one or two tasks. Yet every LoCBS call
 rebuilt the full allocation-time edge-cost map from scratch, and the hole
-scan re-timed the same ``(src procs, dst procs, volume)`` redistribution
-triples over and over. Both computations are pure functions of their
-arguments, so a single cache shared across all LoCBS calls of one
+scan re-priced the same ``(src procs, dst procs)`` redistribution pairs
+over and over. Both computations are pure functions of their arguments,
+so a single cache shared across all LoCBS calls of one
 :meth:`LocMpsScheduler.run` reuses ~all of that work: an edge's estimate
-only changes when one of its *endpoint widths* changes, and a concrete
-transfer time never changes at all.
+only changes when one of its *endpoint widths* changes, and the
+non-local fraction and aggregate bandwidth of a processor-set pair never
+change at all.
 
 :class:`CostCache` exposes the one
 :class:`~repro.redistribution.RedistributionModel` method the LoCBS hot
 path uses (:meth:`transfer_time`), and the hole scan prices every
-transfer through it. Cached values are the exact objects the underlying
-pure functions return — schedules computed through the cache are
-bit-identical to uncached ones (property-tested in
-``tests/test_perf_equivalence.py``).
+transfer through it. It memoizes the volume-free
+:meth:`~repro.redistribution.RedistributionModel.pair_cost` of each
+``(src, dst)`` pair and applies the volume with the model's own
+expression, so schedules computed through the cache are bit-identical to
+uncached ones (property-tested in ``tests/test_perf_equivalence.py``).
 
 Knobs and telemetry:
 
-* ``transfer_limit`` bounds the concrete-transfer memo (it is cleared
-  wholesale when full — correctness is unaffected, only reuse).
+* ``transfer_limit`` bounds the pair memo (it is cleared wholesale when
+  full — correctness is unaffected, only reuse).
 * :attr:`stats` counts hits/misses per memo; :meth:`hit_rate` and
   :meth:`snapshot` feed ``LocMpsScheduler.cost_cache_stats``, which the
   benchmark in ``bench/`` (``python bench/run.py``) reports per layer.
@@ -39,11 +41,9 @@ from repro.graph import TaskGraph
 from repro.redistribution import RedistributionModel
 from repro.redistribution.cost import estimate_edge_cost
 from repro.speedup import ExecutionProfile
+from repro.utils.validation import check_non_negative
 
 __all__ = ["CostCache", "GraphInvariants"]
-
-#: key of one concrete redistribution: (src procs, dst procs, volume)
-_TransferKey = Tuple[Tuple[int, ...], Tuple[int, ...], float]
 
 
 class GraphInvariants:
@@ -89,9 +89,9 @@ class GraphInvariants:
 
 
 class CostCache:
-    """Memoizes edge-cost estimates and concrete redistribution times."""
+    """Memoizes edge-cost estimates and concrete redistribution prices."""
 
-    __slots__ = ("model", "_bandwidth", "_edge_memo", "_transfer_memo",
+    __slots__ = ("model", "_bandwidth", "_edge_memo", "_pair_memo",
                  "_graph_memo", "transfer_limit", "stats")
 
     #: the :attr:`stats` counters, in report order
@@ -121,7 +121,10 @@ class CostCache:
         self._bandwidth = cluster.bandwidth
         #: per graph edge: endpoint widths -> allocation-time estimate
         self._edge_memo: Dict[Tuple[str, str], Dict[Tuple[int, int], float]] = {}
-        self._transfer_memo: Dict[_TransferKey, float] = {}
+        #: (src procs, dst procs) -> (nonlocal fraction, aggregate bandwidth)
+        self._pair_memo: Dict[
+            Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[float, float]
+        ] = {}
         #: graph object id -> (graph ref, graph revision, invariants)
         self._graph_memo: Dict[int, Tuple[TaskGraph, int, GraphInvariants]] = {}
         self.transfer_limit = transfer_limit
@@ -157,9 +160,9 @@ class CostCache:
         memo and accumulate edge entries forever. Job task names are
         namespaced per submission, so an edge key belongs to exactly one
         graph and dropping it cannot evict another job's estimates. The
-        transfer memo is left alone: it is keyed by concrete processor
-        sets and volumes, is name-independent, and is exactly the
-        cross-job reuse the daemon wants.
+        pair memo is left alone: it is keyed by concrete ``(src, dst)``
+        processor sets, is name-independent, and is exactly the cross-job
+        reuse the daemon wants.
         """
         self._graph_memo.pop(id(graph), None)
         for edge in graph.edges():
@@ -214,13 +217,18 @@ class CostCache:
     ) -> float:
         """Cached :meth:`RedistributionModel.transfer_time` (exact values).
 
+        Each call looks up the ``(src, dst)`` pair, counting one hit or
+        miss, and prices *volume* with the pair's memoized
+        :meth:`~repro.redistribution.RedistributionModel.pair_cost`.
         Callers on the LoCBS hot path already hold canonical processor
-        tuples, so the triple is directly hashable.
+        tuples, so the pair is directly hashable.
         """
-        key = (src_procs, dst_procs, volume)
-        memo = self._transfer_memo
-        t = memo.get(key)
-        if t is None:
+        if volume < 0:
+            check_non_negative(volume, "volume")
+        key = (src_procs, dst_procs)
+        memo = self._pair_memo
+        pair = memo.get(key)
+        if pair is None:
             self.stats["transfer_misses"] += 1
             if (
                 self.transfer_limit is not None
@@ -228,10 +236,17 @@ class CostCache:
             ):
                 memo.clear()
                 self.stats["transfer_clears"] += 1
-            t = memo[key] = self.model.transfer_time(src_procs, dst_procs, volume)
+            pair = memo[key] = self.model.pair_cost(src_procs, dst_procs)
         else:
             self.stats["transfer_hits"] += 1
-        return t
+        # the model's expression: literal 0.0 for no volume or no
+        # non-local data
+        if volume == 0.0:
+            return 0.0
+        frac, agg = pair
+        if frac <= 0.0:
+            return 0.0
+        return volume * frac / agg
 
     # -- telemetry -----------------------------------------------------------------
 
@@ -245,7 +260,7 @@ class CostCache:
         """Plain-JSON stats rollup (counts, sizes, hit rates)."""
         out: Dict[str, float] = dict(self.stats)
         out["edge_entries"] = sum(len(m) for m in self._edge_memo.values())
-        out["transfer_entries"] = len(self._transfer_memo)
+        out["transfer_entries"] = len(self._pair_memo)
         out["graph_entries"] = len(self._graph_memo)
         out["edge_hit_rate"] = self.hit_rate("edge")
         out["transfer_hit_rate"] = self.hit_rate("transfer")
@@ -254,5 +269,5 @@ class CostCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CostCache(edges={len(self._edge_memo)}, "
-            f"transfers={len(self._transfer_memo)})"
+            f"pairs={len(self._pair_memo)})"
         )

@@ -246,7 +246,7 @@ def locbs_schedule(
     tracer keeps the hole-scan hot path free of event construction.
 
     *cost_cache* (optional) shares memoized edge-cost estimates and
-    concrete transfer times across calls — the LoC-MPS outer loop passes
+    transfer pair prices across calls — the LoC-MPS outer loop passes
     one run-scoped :class:`~repro.schedulers.costcache.CostCache` so each
     look-ahead step re-derives only the costs its allocation change
     touched. Omitted, a private per-call cache still dedupes the repeated

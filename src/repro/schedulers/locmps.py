@@ -105,10 +105,10 @@ class LocMpsScheduler(Scheduler):
         :attr:`memo_stats` and as ``memo_hit``/``memo_miss`` trace
         events.
     cost_cache_limit:
-        Upper bound on the run-scoped :class:`CostCache`'s concrete
-        transfer-time memo (cleared wholesale when full). ``None``
-        (default) keeps every timed ``(src, dst, volume)`` triple for the
-        whole run. Cumulative hit/miss statistics are exposed on
+        Upper bound on the number of ``(src, dst)`` processor-set pairs
+        the run-scoped :class:`CostCache` keeps priced (cleared wholesale
+        when full). ``None`` (default) keeps every pair for the whole
+        run. Cumulative hit/miss statistics are exposed on
         :attr:`cost_cache_stats` and as ``cost_cache_*`` gauges when
         tracing. Caching never changes the produced schedule.
     initial_allocation:
@@ -208,7 +208,7 @@ class LocMpsScheduler(Scheduler):
             "placements_reused": 0, "placements_scanned": 0,
         }
         #: cumulative cost-cache telemetry across every run() (hits/misses
-        #: of the edge-estimate / concrete-transfer / graph memos, plus the
+        #: of the edge-estimate / transfer-pair / graph memos, plus the
         #: hole-scan probe-ladder pruning counters)
         self.cost_cache_stats: Dict[str, int] = dict.fromkeys(
             CostCache.STAT_KEYS, 0

@@ -33,6 +33,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -66,7 +67,12 @@ from repro.redistribution import (
     volume_matrix,
 )
 from repro.redistribution.blockcyclic import pair_fractions
-from repro.schedule import IdleSweep, ProcessorTimeline, Schedule
+from repro.schedule import (
+    IdleSweep,
+    ProcessorTimeline,
+    Schedule,
+    validate_schedule,
+)
 from repro.schedulers import (
     SCHEDULERS,
     get_scheduler,
@@ -710,6 +716,65 @@ def _tight_graph(draw):
             if draw(st.booleans()):
                 g.add_edge(f"T{i}", f"T{j}", draw(_volumes))
     return g
+
+
+def _seeded_tight_graph(seed):
+    """A ``_tight_graph``-shaped graph drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    g = TaskGraph("tight")
+    for i in range(n):
+        serial = rng.choice([0.0, 0.5, 1.0])
+        et = rng.choice([EPS / 4, EPS, 4 * EPS, 1e-6, 0.5, 3.0])
+        g.add_task(f"T{i}", ExecutionProfile(AmdahlSpeedup(serial), et))
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < 0.5:
+                g.add_edge(
+                    f"T{i}", f"T{j}", rng.choice([0.0, 0.0, 0.0, 1.0, 64.0, 1e6])
+                )
+    return g
+
+
+class TestTightGraphSeeds:
+    """P=1 graphs whose same-start spans once left a chart row's ends
+    unsorted: the no-backfill scan then found no slot, schedules held
+    overlapping placements, and production diverged from the reference.
+    These are every such seed in 0-2999."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [347, 434, 785, 843, 1010, 1088, 1225, 1226, 1382, 1398, 1701,
+         1817, 1994, 2046, 2081, 2207, 2539, 2619, 2935],
+    )
+    @pytest.mark.parametrize("backfill", [False, True])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_valid_and_equal_to_reference(self, seed, backfill, overlap):
+        graph = _seeded_tight_graph(seed)
+        cluster = Cluster(
+            num_processors=1, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        alloc = dict.fromkeys(graph.tasks(), 1)
+        opts = LocbsOptions(backfill=backfill)
+        fast = locbs_schedule(graph, cluster, alloc, opts)
+        ref = locbs_schedule_reference(graph, cluster, alloc, opts)
+        validate_schedule(fast.schedule, graph)
+        assert _schedule_rows(fast.schedule) == _schedule_rows(ref.schedule)
+        assert fast.schedule.edge_comm_times == ref.schedule.edge_comm_times
+
+    @pytest.mark.parametrize("seed", [1010, 1088, 1225, 1398, 2081, 2207, 2539, 2619])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_locmps_equal_to_reference(self, seed, overlap):
+        graph = _seeded_tight_graph(seed)
+        cluster = Cluster(
+            num_processors=1, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        fast = LocMpsScheduler(look_ahead_depth=2).schedule(graph, cluster)
+        ref = ReferenceLocMpsScheduler(look_ahead_depth=2).schedule(
+            graph, cluster
+        )
+        validate_schedule(fast, graph)
+        assert _schedule_rows(fast) == _schedule_rows(ref)
 
 
 class TestTightGraphFuzz:

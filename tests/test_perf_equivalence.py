@@ -329,15 +329,98 @@ class TestCostCache:
         assert cache.stats["transfer_hits"] >= len(triples)
         assert 0.0 < cache.hit_rate("transfer") < 1.0
 
+    def test_transfer_time_bit_identical_per_volume(self):
+        """One memoized pair prices every volume exactly as the model does."""
+        cluster = Cluster(num_processors=8, bandwidth=MYRINET_2GBPS)
+        cache = CostCache(cluster)
+        model = RedistributionModel(cluster)
+        rng = random.Random(4)
+        pairs = [
+            ((0, 1, 2), (0, 1, 2)),  # identical layouts: nothing moves
+            ((2, 0, 1), (0, 1, 2)),  # same set, another order
+            ((0, 1), (4, 5, 6)),  # disjoint sets
+            ((0, 1, 2, 3), (1, 2)),
+            ((5,), (5, 6, 7)),
+        ] + [
+            (
+                tuple(rng.sample(range(8), rng.randint(1, 8))),
+                tuple(rng.sample(range(8), rng.randint(1, 8))),
+            )
+            for _ in range(20)
+        ]
+        volumes = [0.0, -0.0, 1.0, 64.0, 1e-300, 3.3e6, 1e12, 2.0**53 + 1] + [
+            rng.uniform(0.0, 1e9) for _ in range(20)
+        ]
+        for src, dst in pairs:
+            for vol in volumes:
+                got = cache.transfer_time(src, dst, vol)
+                assert got.hex() == model.transfer_time(src, dst, vol).hex()
+        distinct = len(set(pairs))
+        assert cache.stats["transfer_misses"] == distinct
+        assert cache.stats["transfer_hits"] == len(pairs) * len(volumes) - distinct
+        assert cache.snapshot()["transfer_entries"] == distinct
+
+    def test_negative_volume_raises_like_the_model(self):
+        cluster = Cluster(num_processors=4, bandwidth=1e9)
+        cache = CostCache(cluster)
+        model = RedistributionModel(cluster)
+        with pytest.raises(Exception) as want:
+            model.transfer_time((0,), (1,), -1.0)
+        with pytest.raises(want.type):
+            cache.transfer_time((0,), (1,), -1.0)
+        # a memoized pair rejects it too
+        cache.transfer_time((0,), (1,), 1.0)
+        with pytest.raises(want.type):
+            cache.transfer_time((0,), (1,), -1.0)
+
     def test_transfer_limit_clears_but_stays_exact(self):
         cluster = Cluster(num_processors=4, bandwidth=1e9)
         cache = CostCache(cluster, transfer_limit=2)
         model = RedistributionModel(cluster)
-        for vol in (1e6, 2e6, 3e6, 1e6):
-            assert cache.transfer_time((0,), (1,), vol) == model.transfer_time(
-                (0,), (1,), vol
+        # the memo is keyed by pair, so only new pairs can fill it
+        calls = [((0,), (1,), 1e6), ((0,), (2,), 2e6), ((1,), (2, 3), 3e6),
+                 ((0,), (1,), 4e6), ((0,), (1,), 1e6)]
+        for src, dst, vol in calls:
+            assert cache.transfer_time(src, dst, vol) == model.transfer_time(
+                src, dst, vol
             )
         assert cache.stats["transfer_clears"] >= 1
+        assert cache.snapshot()["transfer_entries"] <= 2
+
+    def test_runs_leave_the_process_wide_fraction_memo_alone(self, monkeypatch):
+        """A run prices each of its pairs once and fills no global memo.
+
+        The process-wide fraction memo is fixed-size, and LoC-MPS runs do
+        not touch it, so a process's memory does not grow with the number
+        of schedules it has made. Unchanged memo counters after the runs
+        show that for any number of runs; 30 keep the test short.
+        """
+        from repro.perf.hotpath import deep_dag
+        from repro.redistribution.blockcyclic import _local_fraction_cached
+
+        cluster = Cluster(num_processors=12, bandwidth=MYRINET_2GBPS)
+        pairs = set()
+        priced = CostCache.transfer_time
+
+        def recording(self, src, dst, volume):
+            pairs.add((src, dst))
+            return priced(self, src, dst, volume)
+
+        before = _local_fraction_cached.cache_info()
+        for seed in range(30):
+            scheduler = LocMpsScheduler()
+            if seed == 0:
+                monkeypatch.setattr(CostCache, "transfer_time", recording)
+            scheduler.schedule(deep_dag(4, 3, seed=seed), cluster)
+            if seed == 0:
+                monkeypatch.undo()
+                stats = scheduler.cost_cache_stats
+                assert stats["transfer_misses"] == len(pairs) > 0
+                assert stats["transfer_clears"] == 0
+        after = _local_fraction_cached.cache_info()
+        assert after.currsize <= 4096
+        assert after.maxsize == 4096
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_graph_invariants_cached_and_invalidated(self):
         graph = build_random_graph(12, seed=5)

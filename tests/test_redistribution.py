@@ -118,6 +118,14 @@ class TestModel:
         # all 100 bytes remote, aggregate bw = min(2,2)*10 = 20
         assert m.transfer_time((0, 1), (2, 3), 100.0) == pytest.approx(5.0)
 
+    def test_pair_cost_is_fraction_and_aggregate_bandwidth(self):
+        m = self.make(bw=10.0)
+        assert m.pair_cost((0, 1, 2), (0, 1, 2)) == (0.0, 30.0)
+        assert m.pair_cost((0, 1), (2, 3, 4)) == (1.0, 20.0)
+        frac, agg = m.pair_cost((0, 1), (0, 1, 2, 3))
+        assert (frac, agg) == (1.0 - locality_fraction((0, 1), (0, 1, 2, 3)), 20.0)
+        assert m.transfer_time((0, 1), (0, 1, 2, 3), 100.0) == 100.0 * frac / agg
+
     def test_partial_overlap_cheaper_than_estimate(self):
         m = self.make()
         actual = m.transfer_time((0, 1), (0, 1, 2, 3), 100.0)

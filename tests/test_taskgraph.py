@@ -36,6 +36,19 @@ class TestConstruction:
         assert t.attrs == {"kind": "add"}
         assert t.time(2) == 2.5
 
+    def test_task_fields_are_frozen(self):
+        # graph caches keyed by (graph, revision) hold each task's profile;
+        # reassigning it would serve stale values
+        import dataclasses
+
+        g = TaskGraph()
+        t = g.add_task("X", profile(5.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.profile = profile(1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.name = "Y"
+        assert g.task("X").time(1) == 5.0
+
     def test_duplicate_task_rejected(self):
         g = TaskGraph()
         g.add_task("X", profile())

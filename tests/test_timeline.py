@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ScheduleError
+from repro.perf.scalar_oracles import ScalarProcessorTimeline
 from repro.schedule import ProcessorTimeline
+from repro.utils.intervals import EPS
 
 
 @pytest.fixture
@@ -63,6 +65,25 @@ class TestReserve:
         tl.check_invariants()
         assert tl.free_at(0, 3.0)
         assert not tl.free_at(0, 5.5)
+
+    @pytest.mark.parametrize("chart", [ProcessorTimeline, ScalarProcessorTimeline])
+    def test_same_start_within_eps_keeps_ends_sorted(self, chart):
+        # 3.0 + EPS rounds up: the first span is longer than EPS yet ends
+        # within EPS of 3.0, so a second span starting at 3.0 is accepted
+        # and sorts before it by start while ending after it
+        tl = chart([0])
+        tl.reserve([0], 3.0, 3.0 + EPS)
+        tl.reserve([0], 3.0, 4.0)
+        tl.check_invariants()
+        assert tl.earliest_available(0) == 4.0
+        assert not tl.is_free([0], 3.5, 3.6)
+
+    def test_unsorted_ends_fail_invariants(self, tl):
+        tl.reserve([0], 0.0, 1.0)
+        tl.reserve([0], 2.0, 3.0)
+        tl._ends_l[0].reverse()
+        with pytest.raises(ScheduleError, match="unsorted"):
+            tl.check_invariants()
 
 
 class TestQueries:
