@@ -15,7 +15,10 @@ Busy spans live in one store: per processor row, two sorted Python lists
 query is one ``bisect`` on that row; the machine-wide ones
 (:meth:`idle_with_horizon`, :meth:`idle_processors` and the
 :class:`IdleSweep` constructor) are one ``bisect_right`` per row in machine
-order.
+order. The LoCBS hole scan classifies each probe that needs the whole idle
+set with one :meth:`idle_with_horizon` query: on these sorted rows that
+costs less than advancing an :class:`IdleSweep`, whose heap pops per probe
+outweigh the bisects they save, so no scheduler uses the sweep any more.
 
 Alongside the rows, three *global* sorted lists are maintained
 incrementally (one ``bisect`` + slice-insert each per reservation):
@@ -378,12 +381,9 @@ class ProcessorTimeline:
     def idle_sweep(self, start: float) -> "IdleSweep":
         """An :class:`IdleSweep` positioned at probe time *start*.
 
-        The backfill slot search probes a placement's candidate start times
-        in ascending order against an *unchanging* chart, so recomputing
-        :meth:`idle_with_horizon` from scratch at every probe repeats almost
-        all of its work. The sweep classifies each processor once and then
-        reclassifies only the processors whose state actually flips between
-        consecutive probes.
+        The sweep classifies each processor once and then reclassifies only
+        the processors whose state flips between consecutive ascending
+        probes. The hole scan does not use it (see :class:`IdleSweep`).
         """
         return IdleSweep(self, start)
 
@@ -613,8 +613,14 @@ class IdleSweep:
     O(P log intervals) per probe.
 
     The sweep snapshots nothing: it reads the timeline's span lists in
-    place, so it is only valid while the timeline is not mutated. The slot
-    search satisfies this by construction (it reserves only after the scan).
+    place, so it is only valid while the timeline is not mutated.
+
+    The LoCBS hole scan no longer uses it. Once the chart became per-row
+    sorted lists, :meth:`ProcessorTimeline.idle_with_horizon` is one
+    ``bisect_right`` per row, and advancing the sweep between probes
+    (about 31 heap pops per advance on the ``online`` benchmark) cost more
+    than the query it replaced. The class stays only because the
+    benchmark's tracing layer wraps :meth:`ProcessorTimeline.idle_sweep`.
     """
 
     __slots__ = ("_timeline", "_free", "_events")

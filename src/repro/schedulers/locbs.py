@@ -38,7 +38,7 @@ from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedule import IdleSweep, PlacedTask, ProcessorTimeline, Schedule
+from repro.schedule import PlacedTask, ProcessorTimeline, Schedule
 from repro.schedulers.base import SchedulingResult, clamp_allocation
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache, GraphInvariants
@@ -742,10 +742,12 @@ def _scan_batch(
       paths bit-identical (differentially tested in
       ``tests/test_array_equivalence.py``).
     * **Classification** — when a full idle classification is unavoidable,
-      the first one is a plain :meth:`ProcessorTimeline.idle_with_horizon`
-      query and every later one comes from an :class:`IdleSweep` advanced
-      to the probe time, so repeated classifications cost only the state
-      flips between consecutive probes.
+      it is one :meth:`ProcessorTimeline.idle_with_horizon` query (one
+      ``bisect_right`` per row). Advancing an incremental
+      :class:`~repro.schedule.IdleSweep` between probes measured slower:
+      its heap pops cost more than the row bisects they save. Consumers of
+      the idle list are order-insensitive: the ranking key ends in the
+      processor id and *holes* is read as a dict.
 
     The sequential semantics are preserved exactly: candidates are
     consumed in ascending order, the ``tau + et >= best_finish - EPS``
@@ -797,23 +799,8 @@ def _scan_batch(
         ]
 
     if eats is None:
-        #: lazy classification ladder: the first unavoidable classification
-        #: is a plain query, the second builds the incremental sweep, later
-        #: ones just advance it (probe times ascend; chart frozen during
-        #: the scan)
-        sweep: Optional[IdleSweep] = None
-        classified = False
-
-        def classify(tau: float) -> List[Tuple[int, float]]:
-            nonlocal sweep, classified
-            if sweep is not None:
-                sweep.advance(tau)
-                return sweep.free_pairs()
-            if classified:
-                sweep = timeline.idle_sweep(tau)
-                return sweep.free_pairs()
-            classified = True
-            return timeline.idle_with_horizon(tau)
+        #: every probe that needs the full idle set asks the chart once
+        classify = timeline.idle_with_horizon
     else:
         eat_keys = [e for e, _ in eats]
 
@@ -843,9 +830,7 @@ def _scan_batch(
         tol = tau + EPS
         if counts_ok and not try_groups:
             # Global busy-count identity: two binary searches skip start
-            # times with too few idle processors before the sweep is even
-            # advanced (the deferred events are processed — amortized — at
-            # the next surviving probe).
+            # times with too few idle processors before any row is probed.
             busy = bisect_right(all_starts, tol) - bisect_right(all_ends, tol)
             if P - busy < np_t:
                 if sink is not None:

@@ -25,7 +25,10 @@ the seed scalar code preserved verbatim in
   adversarially tight fuzzed graphs (zero-volume parents, sub-EPS
   execution times, single-processor machines), asserting bit-identical
   schedules; traced runs must reproduce the untraced probe
-  counters and the reference scan's placement events.
+  counters and the reference scan's placement events;
+* the same holds on long probe ladders (a 96-task graph at P=64) and on
+  seeded tight graphs at P = 2-4 with widths above 1, and no scan builds
+  an :class:`IdleSweep`.
 """
 
 from __future__ import annotations
@@ -38,15 +41,17 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import MYRINET_2GBPS, Cluster
-from repro.exceptions import RedistributionError, ScheduleError
+from repro.exceptions import RedistributionError, ScheduleError, ValidationError
 from repro.graph import TaskGraph
 from repro.perf.hotpath import deep_dag, wide_dag
 from repro.obs import Tracer
+from repro.online import OnlineSchedulerDaemon, poisson_zipf_stream
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
@@ -720,7 +725,11 @@ def _tight_graph(draw):
 
 def _seeded_tight_graph(seed):
     """A ``_tight_graph``-shaped graph drawn from ``random.Random(seed)``."""
-    rng = random.Random(seed)
+    return _draw_tight_graph(random.Random(seed))
+
+
+def _draw_tight_graph(rng):
+    """A ``_tight_graph``-shaped graph drawn from *rng*, left advanced."""
     n = rng.randint(1, 9)
     g = TaskGraph("tight")
     for i in range(n):
@@ -775,6 +784,139 @@ class TestTightGraphSeeds:
         )
         validate_schedule(fast, graph)
         assert _schedule_rows(fast) == _schedule_rows(ref)
+
+
+class TestLongLaddersAtP64:
+    """A 96-task fork-join graph on 64 processors: backfill placements
+    probe ~38 candidate start times each, so most probes classify the
+    whole machine. Production equals the reference scan row for row."""
+
+    @pytest.mark.parametrize("backfill", [False, True])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_equal_to_reference(self, backfill, overlap):
+        graph = wide_dag(96, seed=np.random.SeedSequence([11, 0]))
+        rng = random.Random(1)
+        allocations = [
+            {t: rng.randint(1, 24) for t in graph.tasks()} for _ in range(3)
+        ]
+        cluster = Cluster(
+            num_processors=64, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        opts = LocbsOptions(backfill=backfill)
+        for alloc in allocations:
+            cache = CostCache(cluster)
+            fast = locbs_schedule(
+                graph, cluster, alloc, opts, cost_cache=cache
+            ).schedule
+            ref = locbs_schedule_reference(graph, cluster, alloc, opts).schedule
+            assert _schedule_rows(fast) == _schedule_rows(ref)
+            assert fast.edge_comm_times == ref.edge_comm_times
+            if backfill:
+                probes = cache.stats["probes_considered"] / graph.num_tasks
+                assert probes > 30
+
+
+class TestScanBuildsNoIdleSweep:
+    """The hole scan classifies with one chart query per probe; no LoC-MPS
+    run and no online stream builds an :class:`IdleSweep`. The inputs are
+    the first graph of the benchmark's ``wide`` and ``deep`` workloads and
+    a short ``online`` stream: each classifies the whole machine at many
+    probes, so a scan that used a sweep would build one here."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sweeps(self, monkeypatch):
+        def refuse(self, timeline, start):
+            raise AssertionError("the hole scan built an IdleSweep")
+
+        monkeypatch.setattr(IdleSweep, "__init__", refuse)
+
+    @pytest.mark.parametrize(
+        "graph, procs",
+        [
+            (wide_dag(16, seed=np.random.SeedSequence([11, 0])), 8),
+            (deep_dag(4, 3, seed=np.random.SeedSequence([12, 0])), 12),
+        ],
+        ids=["wide", "deep"],
+    )
+    def test_locmps(self, graph, procs):
+        cluster = Cluster(num_processors=procs, bandwidth=MYRINET_2GBPS)
+        for backfill in (True, False):
+            LocMpsScheduler(look_ahead_depth=2, backfill=backfill).schedule(
+                graph, cluster
+            )
+        LocMpsScheduler(
+            look_ahead_depth=2, explain=True, tracer=Tracer()
+        ).schedule(graph, cluster)
+
+    def test_online_stream(self):
+        jobs = poisson_zipf_stream(
+            n_jobs=20, rate=0.06, seed=np.random.SeedSequence([2006, 0])
+        )
+        report = OnlineSchedulerDaemon(Cluster(32, bandwidth=1e8)).run(jobs)
+        assert report.placed == 20
+
+
+class TestTightGraphWideAllocations:
+    """Seeds 0-999 of ``_seeded_tight_graph`` at P = 2, 3 and 4, with
+    widths above 1, under both backfill and both overlap modes.
+
+    The allocations continue the graph's own ``random.Random(seed)``: one
+    ``randint(1, P)`` per task for P = 2, 3, 4 in turn. Production equals
+    the reference scan on all 12,000 cases. Exactly two produce a schedule
+    ``validate_schedule`` rejects; see :meth:`test_same_start_sub_eps_span`.
+    """
+
+    #: (seed, P, backfill): both overlap modes fail validation
+    KNOWN_INVALID = {(938, 3, True)}
+
+    @staticmethod
+    def _cases():
+        for seed in range(1000):
+            rng = random.Random(seed)
+            graph = _draw_tight_graph(rng)
+            for procs in (2, 3, 4):
+                alloc = {t: rng.randint(1, procs) for t in graph.tasks()}
+                yield seed, graph, procs, alloc
+
+    @pytest.mark.parametrize("backfill", [False, True])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_valid_and_equal_to_reference(self, backfill, overlap):
+        opts = LocbsOptions(backfill=backfill)
+        for seed, graph, procs, alloc in self._cases():
+            cluster = Cluster(
+                num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
+            )
+            fast = locbs_schedule(graph, cluster, alloc, opts).schedule
+            ref = locbs_schedule_reference(graph, cluster, alloc, opts).schedule
+            case = (seed, procs, alloc)
+            assert _schedule_rows(fast) == _schedule_rows(ref), case
+            assert fast.edge_comm_times == ref.edge_comm_times, case
+            if (seed, procs, backfill) not in self.KNOWN_INVALID:
+                validate_schedule(fast, graph)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason="T1 and T2 start together and T2's span is just over EPS: "
+        "reserve accepts T1 after T2 but not T2 after T1, the order "
+        "validate_schedule replays in",
+    )
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_same_start_sub_eps_span(self, overlap):
+        rng = random.Random(938)
+        graph = _draw_tight_graph(rng)
+        for procs in (2, 3):
+            alloc = {t: rng.randint(1, procs) for t in graph.tasks()}
+        assert alloc == {
+            "T0": 3, "T1": 2, "T2": 3, "T3": 1,
+            "T4": 1, "T5": 3, "T6": 3, "T7": 2,
+        }
+        cluster = Cluster(num_processors=3, bandwidth=MYRINET_2GBPS, overlap=overlap)
+        fast = locbs_schedule(graph, cluster, alloc, LocbsOptions()).schedule
+        t1, t2 = fast["T1"], fast["T2"]
+        assert t1.start == t2.start
+        assert EPS < t2.finish - t2.start < 2 * EPS
+        validate_schedule(fast, graph)
 
 
 class TestTightGraphFuzz:
