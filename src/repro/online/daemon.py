@@ -11,7 +11,9 @@ deterministic priority queue and reacts:
     then ask admission control: place now, defer to the FIFO pending
     queue, or reject.
 ``JOB_FINISH``
-    Release the finished job's cost-cache state and, if jobs are waiting,
+    Release the finished job's cost-cache state (only for a job spliced
+    from its own graph: a template's state serves its later jobs) and, if
+    jobs are waiting,
     schedule a ``REPLAN`` at the same instant (firing *after* every
     simultaneous finish, per the queue's kind priority).
 ``REPLAN``
@@ -21,7 +23,11 @@ deterministic priority queue and reacts:
     Bookkeeping marker (the job's first placed start).
 
 Placement itself is the incremental splice of
-:class:`~repro.online.placer.IncrementalPlacer`. With
+:class:`~repro.online.placer.IncrementalPlacer`. A job whose widths came
+from the per-template memo is spliced from its template graph under those
+widths, with its ``"<job id>/"`` prefix on the placement names: the graph
+analysis and pop order are then made once per template. A job with a
+preset allocation is spliced from its own graph. With
 ``differential=True`` every placement is replayed by the
 :class:`~repro.online.placer.ColdRebuildPlacer` from an empty machine and
 the two arms' placements are compared **bit-exactly** — the correctness
@@ -40,7 +46,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.service import CachedScheduleService
 from repro.cluster import Cluster
@@ -230,8 +236,9 @@ class OnlineSchedulerDaemon:
         self.cold: Optional[ColdRebuildPlacer] = (
             ColdRebuildPlacer(cluster, options=options) if differential else None
         )
-        #: template graph id -> widths by template task name
-        self._alloc_memo: Dict[int, Dict[str, int]] = {}
+        #: template graph id -> (template, its revision, widths by template
+        #: task name); the template is kept so its id cannot be recycled
+        self._alloc_memo: Dict[int, Tuple[TaskGraph, int, Dict[str, int]]] = {}
         self._pending: Deque[Job] = deque()
         self._queue = EventQueue()  # replaced per run()
         self._report = OnlineDaemonReport(differential=differential)
@@ -247,21 +254,28 @@ class OnlineSchedulerDaemon:
         """Widths for *job*'s tasks (namespaced), decided exactly once."""
         if job.allocation is not None:
             return job.allocation
-        key = id(job.template_graph)
-        widths = self._alloc_memo.get(key)
-        if widths is None:
+        template = job.template_graph
+        entry = self._alloc_memo.get(id(template))
+        if (
+            entry is not None
+            and entry[0] is template
+            and entry[1] == template.revision
+        ):
+            widths = entry[2]
+        else:
             if self.cache_service is not None:
                 widths = self.cache_service.allocation_for(
-                    job.template_graph, self.cluster
+                    template, self.cluster
                 )
             elif self._allocator is not None:
-                widths = dict(self._allocator(job.template_graph, self.cluster))
+                widths = dict(self._allocator(template, self.cluster))
             else:
-                schedule = LocMpsScheduler().schedule(
-                    job.template_graph, self.cluster
-                )
+                schedule = LocMpsScheduler().schedule(template, self.cluster)
                 widths = schedule.allocation()
-            self._alloc_memo[key] = widths
+            self._alloc_memo[id(template)] = (
+                template, template.revision, widths
+            )
+        job.template_widths = widths
         job.allocation = {
             f"{job.job_id}/{t}": w for t, w in widths.items()
         }
@@ -272,13 +286,18 @@ class OnlineSchedulerDaemon:
     def _commit(self, job: Job, floor: float) -> None:
         """Splice *job* into the live chart (and the cold arm, if on)."""
         assert job.allocation is not None
-        result = self.incremental.place(job.graph, job.allocation, floor)
+        if job.template_widths is not None:
+            graph, alloc = job.template_graph, job.template_widths
+            prefix = f"{job.job_id}/"
+        else:
+            graph, alloc, prefix = job.graph, job.allocation, ""
+        result = self.incremental.place(graph, alloc, floor, prefix=prefix)
         report = self._report
         report.incremental_latencies.append(result.latency_s)
         self._probe_totals["incremental"] += result.probes_considered
         if self.cold is not None:
             t0 = time.perf_counter()
-            cold = self.cold.place(job.graph, job.allocation, floor)
+            cold = self.cold.place(graph, alloc, floor, prefix=prefix)
             self._event_overhead += time.perf_counter() - t0
             report.cold_latencies.append(cold.latency_s)
             self._probe_totals["cold"] += cold.probes_considered
@@ -345,7 +364,8 @@ class OnlineSchedulerDaemon:
         self._commit(job, now)
 
     def _on_finish(self, job: Job, now: float) -> None:
-        self.incremental.release(job.graph)
+        if job.template_widths is None:
+            self.incremental.release(job.graph)
         if self.tracer.enabled:
             self.tracer.event(JOB_FINISHED, job=job.job_id, sim_time=now)
         if self._pending:

@@ -1,18 +1,21 @@
 """Job records for the online daemon, and per-job task namespacing.
 
 Every submitted job carries its own :class:`~repro.graph.TaskGraph` whose
-task names are prefixed ``"<job id>/"`` — the live chart, the placement
-index and the cost cache all key by task name, so namespacing is what
-lets many instances of the same application template coexist on one
-machine (and lets :meth:`CostCache.release_graph` evict exactly one job's
-state when it finishes).
+task names are prefixed ``"<job id>/"``: the job's placements carry those
+names, so many instances of the same application template can be told
+apart on one machine (and audited per job against their own graph).
 
-The *un*-namespaced template graph is kept alongside: allocation is
-decided once per submission on the shared template object, so repeated
-templates hit the cost cache's graph memo — and, when the daemon is given
-a :class:`~repro.cache.service.CachedScheduleService`, the
-content-addressed schedule cache — instead of paying a cold allocation
-walk per arrival.
+The *un*-namespaced template graph is kept alongside, and is what the
+daemon allocates and splices. Allocation is decided once per template
+object (or, when the daemon is given a
+:class:`~repro.cache.service.CachedScheduleService`, served by the
+content-addressed schedule cache) instead of a cold allocation walk per
+arrival. The splice then runs on the shared template under those widths
+and prefixes the placement names: the chart's splice spans are unowned,
+so it never keys by a task name, and the cost cache's graph memo and the
+placer's pop order are built once per template. A job with a preset
+allocation (a rigid SWF job is its own template) is spliced from its own
+graph, whose state the daemon releases when the job finishes.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ class Job:
 
     ``allocation`` maps *namespaced* task names to processor widths. It
     may be preset (rigid SWF jobs arrive with their width) or left
-    ``None`` for the daemon's allocator to decide at submit time; either
-    way it is recorded on the job so the cold-rebuild differential arm
-    replays the identical vector.
+    ``None`` for the daemon's allocator to decide at submit time. In the
+    second case the daemon also records the template's widths in
+    ``template_widths`` and splices the job from ``template_graph``; a
+    preset job is spliced from ``graph``.
     """
 
     job_id: str
@@ -62,6 +66,9 @@ class Job:
     placed_at: Optional[float] = None  #: sim time the splice happened
     start: Optional[float] = None  #: earliest placed start
     finish: Optional[float] = None  #: latest placed finish
+    #: widths by template task name, when the daemon's per-template
+    #: allocation decided them (the job then splices its template)
+    template_widths: Optional[Dict[str, int]] = None
 
     def __post_init__(self) -> None:
         if self.arrival < 0:

@@ -9,13 +9,23 @@ run on the live chart — so the hole scan prices only the candidate start
 times the job's own window can touch (its submission-time floor plus the
 release times after it) — never the accumulated history.
 
+Jobs of one template are spliced from the template's own graph, with the
+job's ``"<job id>/"`` *prefix* put on the returned placement names. The
+graph's invariants and edge estimates (in the cost cache) and its pop
+order (:func:`~repro.schedulers.locbs.locbs_plan`, memoized here per
+``(graph, allocation)``) are then derived once per template, not once
+per job. The pop order is unchanged by the prefix: the ready queue breaks
+ties by name, and one prefix shared by all of a job's tasks keeps their
+order. Splice spans are unowned, so the chart never sees a name.
+
 :class:`ColdRebuildPlacer` is the differential arm: it answers the same
 ``place`` request by rebuilding the machine **from empty** — replaying
 every previously committed job (recorded graph, allocation vector and
-arrival floor, in commit order) through fresh state and then splicing the
-new job. Because the chart's sorted structures are content-determined
-(insertion-order independent) and cached cost values are exact, the two
-arms must produce bit-identical placements on every event; the daemon's
+arrival floor, in commit order) through fresh state, planning every
+splice from scratch, and then splicing the new job. Because the
+chart's sorted structures are content-determined (insertion-order
+independent) and cached cost values are exact, the two arms must produce
+bit-identical placements on every event; the daemon's
 ``differential=True`` mode asserts exactly that, reusing the oracle
 pattern of ``tests/test_array_equivalence.py``. The cold arm is also the
 honest baseline the incremental arm is measured against:
@@ -38,11 +48,16 @@ from repro.cluster import Cluster
 from repro.graph import TaskGraph
 from repro.schedule import PlacedTask, ProcessorTimeline
 from repro.schedulers.costcache import CostCache
-from repro.schedulers.locbs import LocbsOptions, splice_schedule
+from repro.schedulers.locbs import (
+    LocbsOptions,
+    Plan,
+    locbs_plan,
+    splice_schedule,
+)
 
 __all__ = ["PlacementResult", "IncrementalPlacer", "ColdRebuildPlacer"]
 
-#: one committed splice: (namespaced graph, allocation, arrival floor)
+#: one committed splice: (graph, allocation, arrival floor)
 _HistoryEntry = Tuple[TaskGraph, Dict[str, int], float]
 
 
@@ -61,6 +76,16 @@ def _probe_snapshot(cache: CostCache) -> Tuple[int, int]:
     return s["probes_considered"], s["probes_bound_pruned"]
 
 
+def _prefixed(placements: List[PlacedTask], prefix: str) -> List[PlacedTask]:
+    """*placements* with every task name prefixed by *prefix*."""
+    if not prefix:
+        return placements
+    return [
+        PlacedTask(prefix + p.name, p.start, p.exec_start, p.finish, p.processors)
+        for p in placements
+    ]
+
+
 class IncrementalPlacer:
     """Splice jobs into one live chart, reusing all state across events."""
 
@@ -71,30 +96,37 @@ class IncrementalPlacer:
         self.options = options
         self.timeline = ProcessorTimeline(cluster.processors)
         self.cost_cache = CostCache(cluster)
-        self.history: List[_HistoryEntry] = []
+        #: graph object id -> (graph ref, graph revision, allocation, pop order)
+        self._plans: Dict[int, Tuple[TaskGraph, int, Dict[str, int], Plan]] = {}
 
     def place(
         self,
         graph: TaskGraph,
         allocation: Mapping[str, int],
         release_floor: float,
+        *,
+        prefix: str = "",
     ) -> PlacementResult:
-        """Splice *graph* into the live chart; O(job + open holes)."""
-        alloc = dict(allocation)
+        """Splice *graph* into the live chart; O(job + open holes).
+
+        The placements are named ``prefix + task``. The pop order is
+        reused from the last call with the same graph and allocation.
+        """
         before = _probe_snapshot(self.cost_cache)
         t0 = time.perf_counter()
         placements = splice_schedule(
             graph,
             self.cluster,
-            alloc,
+            allocation,
             self.timeline,
             release_floor=release_floor,
             options=self.options,
             cost_cache=self.cost_cache,
+            plan=self._plan(graph, allocation),
         )
+        placements = _prefixed(placements, prefix)
         latency = time.perf_counter() - t0
         after = _probe_snapshot(self.cost_cache)
-        self.history.append((graph, alloc, release_floor))
         return PlacementResult(
             placements=placements,
             latency_s=latency,
@@ -102,8 +134,30 @@ class IncrementalPlacer:
             probes_bound_pruned=after[1] - before[1],
         )
 
+    def _plan(self, graph: TaskGraph, allocation: Mapping[str, int]) -> Plan:
+        """*graph*'s pop order under *allocation*, memoized per graph.
+
+        Checked like :meth:`CostCache.graph_invariants` (graph revision)
+        plus the allocation's content, so a new allocation replans.
+        """
+        entry = self._plans.get(id(graph))
+        if (
+            entry is not None
+            and entry[1] == graph.revision
+            and entry[2] == allocation
+        ):
+            return entry[3]
+        plan = locbs_plan(
+            graph, self.cluster, allocation, self.options, self.cost_cache
+        )
+        self._plans[id(graph)] = (graph, graph.revision, dict(allocation), plan)
+        return plan
+
     def release(self, graph: TaskGraph) -> None:
-        """Drop a finished job's cost-cache state (memory bound).
+        """Drop a graph's cost-cache state and pop order (memory bound).
+
+        The daemon calls it for a job spliced from its own graph when the
+        job finishes; a template's state is kept for later jobs.
 
         The chart keeps the job's busy spans — history compaction would
         change the chart *content* and break the cold arm's bit-identity
@@ -111,6 +165,7 @@ class IncrementalPlacer:
         long-run caveat).
         """
         self.cost_cache.release_graph(graph)
+        self._plans.pop(id(graph), None)
 
 
 class ColdRebuildPlacer:
@@ -136,14 +191,20 @@ class ColdRebuildPlacer:
         graph: TaskGraph,
         allocation: Mapping[str, int],
         release_floor: float,
+        *,
+        prefix: str = "",
     ) -> PlacementResult:
-        """Rebuild the whole chart, then place *graph*; O(history + job)."""
-        alloc = dict(allocation)
+        """Rebuild the whole chart, then place *graph*; O(history + job).
+
+        Every splice plans its pop order afresh; the new job's placements
+        are named ``prefix + task``, as :meth:`IncrementalPlacer.place`.
+        """
+        entry = (graph, dict(allocation), release_floor)
         t0 = time.perf_counter()
         timeline = ProcessorTimeline(self.cluster.processors)
         cache = CostCache(self.cluster)
         # replay the history, then the new job: the last splice is its own
-        for g, a, floor in [*self.history, (graph, alloc, release_floor)]:
+        for g, a, floor in [*self.history, entry]:
             placements = splice_schedule(
                 g,
                 self.cluster,
@@ -153,9 +214,10 @@ class ColdRebuildPlacer:
                 options=self.options,
                 cost_cache=cache,
             )
+        placements = _prefixed(placements, prefix)
         latency = time.perf_counter() - t0
         probes = _probe_snapshot(cache)  # fresh cache: totals == this call
-        self.history.append((graph, alloc, release_floor))
+        self.history.append(entry)
         return PlacementResult(
             placements=placements,
             latency_s=latency,

@@ -45,6 +45,9 @@ from repro.utils.validation import check_non_negative
 
 __all__ = ["CostCache", "GraphInvariants"]
 
+#: per graph edge: endpoint widths -> allocation-time estimate
+_EdgeMemo = Dict[Tuple[str, str], Dict[Tuple[int, int], float]]
+
 
 class GraphInvariants:
     """Allocation-independent structure of one task graph, computed once.
@@ -88,11 +91,15 @@ class GraphInvariants:
         }
 
 
+#: one graph memo entry: (graph ref, graph revision, invariants, estimates)
+_GraphEntry = Tuple[TaskGraph, int, GraphInvariants, _EdgeMemo]
+
+
 class CostCache:
     """Memoizes edge-cost estimates and concrete redistribution prices."""
 
-    __slots__ = ("model", "_bandwidth", "_edge_memo", "_pair_memo",
-                 "_graph_memo", "transfer_limit", "stats")
+    __slots__ = ("model", "_bandwidth", "_pair_memo", "_graph_memo",
+                 "transfer_limit", "stats")
 
     #: the :attr:`stats` counters, in report order
     STAT_KEYS: Tuple[str, ...] = (
@@ -119,14 +126,13 @@ class CostCache:
             )
         self.model = RedistributionModel(cluster)
         self._bandwidth = cluster.bandwidth
-        #: per graph edge: endpoint widths -> allocation-time estimate
-        self._edge_memo: Dict[Tuple[str, str], Dict[Tuple[int, int], float]] = {}
         #: (src procs, dst procs) -> (nonlocal fraction, aggregate bandwidth)
         self._pair_memo: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[float, float]
         ] = {}
-        #: graph object id -> (graph ref, graph revision, invariants)
-        self._graph_memo: Dict[int, Tuple[TaskGraph, int, GraphInvariants]] = {}
+        #: graph object id -> (graph ref, graph revision, invariants,
+        #: that graph's edge estimates)
+        self._graph_memo: Dict[int, _GraphEntry] = {}
         self.transfer_limit = transfer_limit
         self.stats: Dict[str, int] = dict.fromkeys(self.STAT_KEYS, 0)
 
@@ -141,32 +147,38 @@ class CostCache:
         the entry, and the check is O(1). The graph is kept referenced so
         the ``id`` key cannot be recycled.
         """
+        return self._graph_entry(graph)[2]
+
+    def _graph_entry(self, graph: TaskGraph) -> _GraphEntry:
+        """*graph*'s memo entry: its invariants and its edge estimates.
+
+        The estimates live in the graph's own entry, so two graphs that
+        share task names never read each other's values, and a revision
+        change drops them with the invariants.
+        """
         key = id(graph)
         revision = graph.revision
         entry = self._graph_memo.get(key)
         if entry is not None and entry[1] == revision:
             self.stats["graph_hits"] += 1
-            return entry[2]
+            return entry
         self.stats["graph_misses"] += 1
-        inv = GraphInvariants(graph)
-        self._graph_memo[key] = (graph, revision, inv)
-        return inv
+        entry = self._graph_memo[key] = (
+            graph, revision, GraphInvariants(graph), {}
+        )
+        return entry
 
     def release_graph(self, graph: TaskGraph) -> None:
         """Drop per-graph state for a job that left the machine.
 
         A long-lived cache (the online daemon keeps one for its whole run)
-        would otherwise pin every finished job's graph via the invariants
-        memo and accumulate edge entries forever. Job task names are
-        namespaced per submission, so an edge key belongs to exactly one
-        graph and dropping it cannot evict another job's estimates. The
-        pair memo is left alone: it is keyed by concrete ``(src, dst)``
-        processor sets, is name-independent, and is exactly the cross-job
-        reuse the daemon wants.
+        would otherwise pin every finished job's graph via the graph memo.
+        One pop drops the graph's invariants and its edge estimates
+        together. The pair memo is left alone: it is keyed by concrete
+        ``(src, dst)`` processor sets, is name-independent, and is exactly
+        the cross-job reuse the daemon wants.
         """
         self._graph_memo.pop(id(graph), None)
-        for edge in graph.edges():
-            self._edge_memo.pop(edge, None)
 
     # -- allocation-time estimates -------------------------------------------------
 
@@ -184,12 +196,12 @@ class CostCache:
         one task re-derives only that task's incident edges. Edges and
         volumes come from the graph's cached invariants.
         """
-        volumes = self.graph_invariants(graph).volumes
+        _, _, inv, edge_memo = self._graph_entry(graph)
+        volumes = inv.volumes
         if comm_blind:
             return dict.fromkeys(volumes, 0.0)
         costs: Dict[Tuple[str, str], float] = {}
         stats = self.stats
-        edge_memo = self._edge_memo
         bandwidth = self._bandwidth
         for (u, v), volume in volumes.items():
             widths = (allocation[u], allocation[v])
@@ -259,7 +271,11 @@ class CostCache:
     def snapshot(self) -> Dict[str, float]:
         """Plain-JSON stats rollup (counts, sizes, hit rates)."""
         out: Dict[str, float] = dict(self.stats)
-        out["edge_entries"] = sum(len(m) for m in self._edge_memo.values())
+        out["edge_entries"] = sum(
+            len(per_edge)
+            for entry in self._graph_memo.values()
+            for per_edge in entry[3].values()
+        )
         out["transfer_entries"] = len(self._pair_memo)
         out["graph_entries"] = len(self._graph_memo)
         out["edge_hit_rate"] = self.hit_rate("edge")
@@ -268,6 +284,6 @@ class CostCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CostCache(edges={len(self._edge_memo)}, "
+            f"CostCache(graphs={len(self._graph_memo)}, "
             f"pairs={len(self._pair_memo)})"
         )

@@ -494,6 +494,7 @@ def splice_schedule(
     release_floor: float = 0.0,
     options: LocbsOptions = LocbsOptions(),
     cost_cache: Optional[CostCache] = None,
+    plan: Optional[Plan] = None,
 ) -> List[PlacedTask]:
     """Place *graph* into a **live** chart, mutating *timeline* in place.
 
@@ -512,15 +513,19 @@ def splice_schedule(
     bit-identical results (``tests/test_online_daemon.py``).
 
     *cost_cache* (optional) is the cross-event memo — cached values are
-    exact, so sharing it never changes the schedule. Returns the
-    placements in commit order (no schedule-DAG); task names must not
-    collide with tasks already on the chart (the daemon namespaces them
-    per job).
+    exact, so sharing it never changes the schedule. *plan* (optional)
+    is the pass's pop order from :func:`locbs_plan` under the same
+    graph, allocation and options, as for :func:`locbs_schedule`: many
+    splices of one graph under one allocation share it. Returns the
+    placements in commit order (no schedule-DAG). The chart's spans are
+    unowned, so the names may repeat those of tasks already on it: the
+    daemon splices every job of a template from the template's graph
+    and renames the result.
     """
     return list(_locbs_pass(
         graph, cluster, allocation, timeline, options,
         SchedulingContext(release_floor=release_floor), NULL_TRACER,
-        cost_cache, None, None, None, pairs=False,
+        cost_cache, None, None, plan, pairs=False,
     )[0])
 
 

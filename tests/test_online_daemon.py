@@ -9,6 +9,9 @@ The load-bearing claims under test:
   cold-rebuild arm (fresh state, full history replay per event) produce
   bit-identical placements on every event, while the incremental arm
   prices strictly fewer probe-ladder candidates;
+* a job spliced from its shared template under its name prefix lands
+  exactly where a splice of its own namespaced copy would, and the
+  daemon keeps per-graph state for templates only;
 * the whole run — event order and final chart — is independent of
   ``PYTHONHASHSEED`` (subprocess test, mirroring the ``deep_dag``
   regression in ``test_array_equivalence.py``).
@@ -462,6 +465,31 @@ class TestDaemon:
         daemon.run([make_job(f"j{i}", i * 2.0, tmpl) for i in range(5)])
         assert len(calls) == 1  # shared template graph -> one allocation
 
+    def test_allocation_memo_survives_recycled_template_ids(self):
+        """A fresh template never gets a dead template's widths, even when
+        the interpreter hands it the dead template's ``id``."""
+        daemon = OnlineSchedulerDaemon(
+            Cluster(4, bandwidth=1e8),
+            allocator=lambda graph, cluster: {t: 1 for t in graph.tasks()},
+        )
+
+        def run_fresh_chain(run):
+            tmpl = TaskGraph("chain")
+            prof = ExecutionProfile(LinearSpeedup(), 5.0)
+            names = [f"t{i}" for i in range(2 + run % 3)]
+            for i, name in enumerate(names):
+                tmpl.add_task(name, prof)
+                if i:
+                    tmpl.add_edge(names[i - 1], name, 1e3)
+            jobs = [make_job(f"r{run}j{i}", i * 1.0, tmpl) for i in range(3)]
+            for job in daemon.run(jobs).jobs:
+                assert sorted(p.name for p in job.placements) == sorted(
+                    job.graph.tasks()
+                )
+
+        for run in range(30):
+            run_fresh_chain(run)
+            daemon.run([])  # the report lets go of this run's jobs
 
 class TestLatencyRollups:
     def test_percentile_nearest_rank(self):
@@ -560,6 +588,104 @@ class TestStreams:
         assert report.identical, report.mismatches
         assert report.placed == 10
         assert math.isfinite(report.submissions_per_sim_hour)
+
+
+def _twin_templates():
+    """Two templates with the same task and edge names, unlike volumes."""
+    twins = []
+    for name, volume in (("twin-light", 1e3), ("twin-heavy", 5e9)):
+        g = TaskGraph(name)
+        for t, seq in (("a", 30.0), ("b", 20.0), ("c", 25.0)):
+            g.add_task(t, ExecutionProfile(AmdahlSpeedup(0.1), seq))
+        g.add_edge("a", "b", volume)
+        g.add_edge("a", "c", 1e6)
+        twins.append((name, g))
+    return twins
+
+
+def _rows(placements):
+    return [
+        (p.name, p.start, p.exec_start, p.finish, p.processors)
+        for p in placements
+    ]
+
+
+class TestTemplateSplice:
+    """Splicing a job from its shared template (with its name prefix)
+    places it exactly where splicing its own namespaced copy would."""
+
+    @staticmethod
+    def _replay_namespaced(cluster, tracer, jobs):
+        """Re-splice every committed job from its namespaced graph, in the
+        daemon's commit order and at its floor, through a fresh placer."""
+        by_id = {job.job_id: job for job in jobs}
+        own = IncrementalPlacer(cluster)
+        for ev in tracer.events:
+            if ev.name != "job_placed":
+                continue
+            job = by_id[ev.fields["job"]]
+            placed = own.place(job.graph, job.allocation, ev.fields["sim_time"])
+            own.release(job.graph)
+            assert _rows(placed.placements) == _rows(job.placements), job.job_id
+        return own
+
+    @staticmethod
+    def _allocate(graph, cluster):
+        # cheap, deterministic widths: LoC-MPS per template is not the
+        # subject here
+        return {t: 1 + i % 4 for i, t in enumerate(sorted(graph.tasks()))}
+
+    @pytest.mark.parametrize("seed", [2006, 2010])
+    def test_poisson_stream_template_splice_equals_namespaced(self, seed):
+        templates = [*_twin_templates(), *default_templates()]
+        jobs = poisson_zipf_stream(
+            n_jobs=300, rate=0.06, seed=seed, zipf_s=0.5, templates=templates
+        )
+        assert {"twin-light", "twin-heavy"} <= {job.template for job in jobs}
+        cluster = Cluster(16, bandwidth=1e8)
+        tracer = Tracer()
+        daemon = OnlineSchedulerDaemon(
+            cluster,
+            admission=AdmissionPolicy(max_backlog=4000.0),
+            allocator=self._allocate,
+            tracer=tracer,
+        )
+        report = daemon.run(jobs)
+        assert report.placed == len(jobs)
+        assert all(job.template_widths is not None for job in jobs)
+        self._replay_namespaced(cluster, tracer, jobs)
+        cache = daemon.incremental.cost_cache.snapshot()
+        assert 0 < cache["graph_entries"] <= len(templates)
+
+    def test_swf_replay_releases_every_graph(self):
+        cluster = Cluster(16, bandwidth=1e8)
+        jobs = jobs_from_swf(
+            synthetic_swf_text(n_jobs=60, max_width=16, seed=7), cluster
+        )
+        tracer = Tracer()
+        daemon = OnlineSchedulerDaemon(
+            cluster, admission=AdmissionPolicy(max_backlog=50000.0), tracer=tracer
+        )
+        report = daemon.run(jobs)
+        assert report.placed == len(jobs)
+        assert all(job.template_widths is None for job in jobs)
+        own = self._replay_namespaced(cluster, tracer, jobs)
+        assert daemon.incremental.cost_cache.snapshot()["graph_entries"] == 0
+        assert own.cost_cache.snapshot()["graph_entries"] == 0
+
+    def test_prefix_names_the_placements(self):
+        tmpl = small_template()
+        cl = Cluster(8, bandwidth=1e8)
+        alloc = {t: 2 for t in tmpl.tasks()}
+        shared, own = IncrementalPlacer(cl), IncrementalPlacer(cl)
+        for i in range(3):
+            g = namespace_graph(tmpl, f"j{i}")
+            a = shared.place(tmpl, alloc, float(i), prefix=f"j{i}/")
+            b = own.place(g, {f"j{i}/{t}": w for t, w in alloc.items()}, float(i))
+            assert _rows(a.placements) == _rows(b.placements)
+        # one graph analysis and one pop order serve every job
+        assert shared.cost_cache.stats["graph_misses"] == 1
+        assert own.cost_cache.stats["graph_misses"] == 3
 
 
 class TestHashSeedDeterminism:

@@ -437,6 +437,37 @@ class TestCostCache:
         assert inv2 is not inv
         assert "extra" in inv2.preds
 
+    def test_edge_estimates_are_kept_per_graph(self):
+        """Two graphs with the same edge names share no estimate."""
+        from repro.graph import TaskGraph
+        from repro.speedup import ExecutionProfile, LinearSpeedup
+
+        def three_tasks(volume):
+            g = TaskGraph()
+            for t in ("a", "b", "c"):
+                g.add_task(t, ExecutionProfile(LinearSpeedup(), 10.0))
+            g.add_edge("a", "b", volume)
+            g.add_edge("a", "c", 1e6)
+            return g
+
+        cluster = Cluster(num_processors=4, bandwidth=1e8)
+        alloc = {"a": 2, "b": 2, "c": 1}
+        small, large = three_tasks(1e3), three_tasks(5e9)
+        shared = CostCache(cluster)
+        assert shared.edge_cost_map(small, alloc)[("a", "b")] == 5e-06
+        assert shared.edge_cost_map(large, alloc)[("a", "b")] == 25.0
+        assert shared.edge_cost_map(large, alloc) == edge_cost_map(
+            large, cluster, alloc
+        )
+        assert _placement_rows(
+            locbs_schedule(large, cluster, alloc, cost_cache=shared).schedule
+        ) == _placement_rows(locbs_schedule(large, cluster, alloc).schedule)
+        # releasing a graph drops its estimates with its invariants
+        entries = shared.snapshot()["edge_entries"]
+        shared.release_graph(small)
+        assert shared.snapshot()["graph_entries"] == 1
+        assert shared.snapshot()["edge_entries"] == entries - 2
+
     def test_bottom_levels_under_matches_dag_ops(self):
         graph = build_random_graph(25, seed=7)
         cluster = Cluster(num_processors=8, bandwidth=MYRINET_2GBPS)
