@@ -8,7 +8,7 @@ for streaming arrivals rather than the deviation-replay loop of
 
 * :mod:`repro.online.events` — the deterministic priority event queue
   (submit / start / finish / replan);
-* :mod:`repro.online.jobs` — job records and per-job task namespacing;
+* :mod:`repro.online.jobs` — job records: (template, prefix, widths);
 * :mod:`repro.online.admission` — admission control (reject / defer);
 * :mod:`repro.online.placer` — the perf core: an incremental placer that
   persists the :class:`~repro.schedule.ProcessorTimeline` and
@@ -29,7 +29,7 @@ from repro.online.admission import AdmissionDecision, AdmissionPolicy
 from repro.online.arrivals import default_templates, poisson_zipf_stream
 from repro.online.daemon import OnlineDaemonReport, OnlineSchedulerDaemon
 from repro.online.events import EventQueue, OnlineEvent, OnlineEventKind
-from repro.online.jobs import Job, namespace_graph
+from repro.online.jobs import Job
 from repro.online.placer import (
     ColdRebuildPlacer,
     IncrementalPlacer,
@@ -57,7 +57,6 @@ __all__ = [
     "SwfJob",
     "default_templates",
     "jobs_from_swf",
-    "namespace_graph",
     "parse_swf",
     "poisson_zipf_stream",
     "synthetic_swf_text",

@@ -17,10 +17,10 @@ determinism contract the subprocess test in
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.graph import TaskGraph
-from repro.online.jobs import Job, namespace_graph
+from repro.online.jobs import Job
 from repro.speedup import AmdahlSpeedup, ExecutionProfile
 from repro.utils.rng import SeedLike, as_generator
 
@@ -104,8 +104,9 @@ def poisson_zipf_stream(
 ) -> List[Job]:
     """Generate *n_jobs* arrivals at *rate* jobs/second of simulated time.
 
-    ``zipf_s`` is the popularity skew exponent (0 = uniform). Allocation
-    is left to the daemon (``Job.allocation is None``), so the stream is
+    ``zipf_s`` is the popularity skew exponent (0 = uniform). Every job
+    of a template shares that one graph object, and its widths are left
+    to the daemon (``Job.widths is None``), so the stream is
     machine-independent.
     """
     if n_jobs < 0:
@@ -126,19 +127,15 @@ def poisson_zipf_stream(
     jobs: List[Job] = []
     now = 0.0
     width = max(4, len(str(max(n_jobs - 1, 1))))
-    instance_count: Dict[str, int] = {}
     for i in range(n_jobs):
         now += float(rng.exponential(1.0 / rate))
         u = float(rng.random())
         idx = next(k for k, c in enumerate(cumulative) if u <= c)
         name, template = pool[idx]
-        instance_count[name] = instance_count.get(name, 0) + 1
-        job_id = f"j{i:0{width}d}-{name}"
         jobs.append(
             Job(
-                job_id=job_id,
+                job_id=f"j{i:0{width}d}-{name}",
                 template=name,
-                graph=namespace_graph(template, job_id),
                 template_graph=template,
                 arrival=now,
             )

@@ -4,18 +4,16 @@ The loop pops :class:`~repro.online.events.OnlineEvent` records off the
 deterministic priority queue and reacts:
 
 ``JOB_SUBMIT``
-    Decide the job's allocation (preset for rigid SWF jobs; otherwise the
+    Decide the job's widths (preset for rigid SWF jobs; otherwise the
     allocator runs **once per template** — repeated templates reuse the
     memoized widths, or hit the content-addressed schedule cache when a
     :class:`~repro.cache.service.CachedScheduleService` is attached),
     then ask admission control: place now, defer to the FIFO pending
     queue, or reject.
 ``JOB_FINISH``
-    Release the finished job's cost-cache state (only for a job spliced
-    from its own graph: a template's state serves its later jobs) and, if
-    jobs are waiting,
-    schedule a ``REPLAN`` at the same instant (firing *after* every
-    simultaneous finish, per the queue's kind priority).
+    If jobs are waiting, schedule a ``REPLAN`` at the same instant
+    (firing *after* every simultaneous finish, per the queue's kind
+    priority). A finish releases no state.
 ``REPLAN``
     Drain the pending FIFO while admission now says "place"; deferred
     jobs splice with their *replan* time as the release floor.
@@ -23,11 +21,14 @@ deterministic priority queue and reacts:
     Bookkeeping marker (the job's first placed start).
 
 Placement itself is the incremental splice of
-:class:`~repro.online.placer.IncrementalPlacer`. A job whose widths came
-from the per-template memo is spliced from its template graph under those
-widths, with its ``"<job id>/"`` prefix on the placement names: the graph
-analysis and pop order are then made once per template. A job with a
-preset allocation is spliced from its own graph. With
+:class:`~repro.online.placer.IncrementalPlacer`. Every job is spliced
+from its template graph under its widths, with its ``"<job id>/"`` prefix
+on the placement names: the graph analysis and pop order are then made
+once per template. That state and the memoized widths share one record
+per template, touched on every submit and commit and evicted least
+recently used beyond :data:`TEMPLATE_WINDOW` templates. Eviction cannot
+change a placement: the pop order and cost values are rebuilt exactly.
+With
 ``differential=True`` every placement is replayed by the
 :class:`~repro.online.placer.ColdRebuildPlacer` from an empty machine and
 the two arms' placements are compared **bit-exactly** — the correctness
@@ -44,13 +45,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.cache.service import CachedScheduleService
 from repro.cluster import Cluster
-from repro.exceptions import ScheduleError
+from repro.exceptions import ScheduleError, SimulationError
 from repro.graph import TaskGraph
 from repro.obs.events import (
     JOB_FINISHED,
@@ -66,12 +67,17 @@ from repro.online.jobs import Job
 from repro.online.placer import ColdRebuildPlacer, IncrementalPlacer
 from repro.schedulers.locbs import LocbsOptions
 from repro.schedulers.locmps import LocMpsScheduler
-from repro.sim.engine import verify_realized
+from repro.sim.engine import verify_exclusive, verify_realized
 
 __all__ = ["OnlineDaemonReport", "OnlineSchedulerDaemon", "percentile"]
 
 #: allocator signature: template graph + cluster -> widths by template task
 Allocator = Callable[[TaskGraph, Cluster], Dict[str, int]]
+
+#: templates whose state the daemon keeps; the least recently used beyond
+#: it are evicted (releasing at a template's last live job instead re-missed
+#: a third or more of the jobs of a bench stream)
+TEMPLATE_WINDOW = 64
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -202,9 +208,10 @@ class OnlineSchedulerDaemon:
         bit-identical placements (the correctness oracle; adds the cold
         arm's full rebuild cost per event, so only for tests/benchmarks).
     verify:
-        Audit the final chart: per-job precedence/exclusivity via
-        :func:`repro.sim.engine.verify_realized` plus timeline
-        invariants.
+        Audit the final chart: timeline invariants, each job against its
+        template via :func:`repro.sim.engine.verify_realized`
+        (completeness, precedence, exclusivity), and exclusivity across
+        jobs.
     tracer:
         Observability sink; emits ``online_event`` latency spans and
         ``job_submitted``/``job_placed``/``job_finished``/``job_rejected``
@@ -236,9 +243,10 @@ class OnlineSchedulerDaemon:
         self.cold: Optional[ColdRebuildPlacer] = (
             ColdRebuildPlacer(cluster, options=options) if differential else None
         )
-        #: template graph id -> (template, its revision, widths by template
-        #: task name); the template is kept so its id cannot be recycled
-        self._alloc_memo: Dict[int, Tuple[TaskGraph, int, Dict[str, int]]] = {}
+        #: template graph id -> [template, its revision, widths by template
+        #: task name or None], least recently used first; the template is
+        #: kept so its id cannot be recycled
+        self._alloc_memo: OrderedDict[int, list] = OrderedDict()
         self._pending: Deque[Job] = deque()
         self._queue = EventQueue()  # replaced per run()
         self._report = OnlineDaemonReport(differential=differential)
@@ -250,54 +258,53 @@ class OnlineSchedulerDaemon:
 
     # -- allocation ------------------------------------------------------------------
 
-    def _allocate(self, job: Job) -> Dict[str, int]:
-        """Widths for *job*'s tasks (namespaced), decided exactly once."""
-        if job.allocation is not None:
-            return job.allocation
-        template = job.template_graph
-        entry = self._alloc_memo.get(id(template))
-        if (
-            entry is not None
-            and entry[0] is template
-            and entry[1] == template.revision
-        ):
-            widths = entry[2]
-        else:
+    def _touch(self, template: TaskGraph) -> list:
+        """*template*'s record, now the most recently used; a new revision
+        starts a fresh one. Evicting a record releases the placer's state."""
+        memo = self._alloc_memo
+        key = id(template)
+        entry = memo.get(key)
+        if entry is None or entry[1] != template.revision:
+            entry = memo[key] = [template, template.revision, None]
+        memo.move_to_end(key)
+        while len(memo) > TEMPLATE_WINDOW:
+            self.incremental.release(memo.popitem(last=False)[1][0])
+        return entry
+
+    def _allocate(self, job: Job) -> None:
+        """Fill in *job*'s widths, decided once per template."""
+        entry = self._touch(job.template_graph)
+        if job.widths is not None:
+            return
+        if entry[2] is None:
+            template = job.template_graph
             if self.cache_service is not None:
-                widths = self.cache_service.allocation_for(
+                entry[2] = self.cache_service.allocation_for(
                     template, self.cluster
                 )
             elif self._allocator is not None:
-                widths = dict(self._allocator(template, self.cluster))
+                entry[2] = dict(self._allocator(template, self.cluster))
             else:
                 schedule = LocMpsScheduler().schedule(template, self.cluster)
-                widths = schedule.allocation()
-            self._alloc_memo[id(template)] = (
-                template, template.revision, widths
-            )
-        job.template_widths = widths
-        job.allocation = {
-            f"{job.job_id}/{t}": w for t, w in widths.items()
-        }
-        return job.allocation
+                entry[2] = schedule.allocation()
+        job.widths = entry[2]
 
     # -- event handlers ----------------------------------------------------------------
 
     def _commit(self, job: Job, floor: float) -> None:
         """Splice *job* into the live chart (and the cold arm, if on)."""
-        assert job.allocation is not None
-        if job.template_widths is not None:
-            graph, alloc = job.template_graph, job.template_widths
-            prefix = f"{job.job_id}/"
-        else:
-            graph, alloc, prefix = job.graph, job.allocation, ""
-        result = self.incremental.place(graph, alloc, floor, prefix=prefix)
+        assert job.widths is not None
+        # a deferred job's template may have left the window since submit
+        self._touch(job.template_graph)
+        graph, widths = job.template_graph, job.widths
+        prefix = f"{job.job_id}/"
+        result = self.incremental.place(graph, widths, floor, prefix=prefix)
         report = self._report
         report.incremental_latencies.append(result.latency_s)
         self._probe_totals["incremental"] += result.probes_considered
         if self.cold is not None:
             t0 = time.perf_counter()
-            cold = self.cold.place(graph, alloc, floor, prefix=prefix)
+            cold = self.cold.place(graph, widths, floor, prefix=prefix)
             self._event_overhead += time.perf_counter() - t0
             report.cold_latencies.append(cold.latency_s)
             self._probe_totals["cold"] += cold.probes_considered
@@ -364,8 +371,6 @@ class OnlineSchedulerDaemon:
         self._commit(job, now)
 
     def _on_finish(self, job: Job, now: float) -> None:
-        if job.template_widths is None:
-            self.incremental.release(job.graph)
         if self.tracer.enabled:
             self.tracer.event(JOB_FINISHED, job=job.job_id, sim_time=now)
         if self._pending:
@@ -452,10 +457,21 @@ class OnlineSchedulerDaemon:
         """Chart-level correctness audit of everything that was placed."""
         self.incremental.timeline.check_invariants()
         for job in placed_jobs:
-            done = {p.name: p for p in job.placements}
-            verify_realized(job.graph, done)
+            prefix = f"{job.job_id}/"
+            done = {
+                p.name[len(prefix):]: p
+                for p in job.placements
+                if p.name.startswith(prefix)
+            }
+            if len(done) != len(job.placements):
+                raise SimulationError(
+                    f"job {job.job_id!r} has placements outside its prefix "
+                    f"{prefix!r} or named twice"
+                )
+            verify_realized(job.template_graph, done)
             if job.start is not None and job.start < job.arrival - 1e-9:
                 raise ScheduleError(
                     f"job {job.job_id!r} started at {job.start:g} before "
                     f"its arrival at {job.arrival:g}"
                 )
+        verify_exclusive(p for job in placed_jobs for p in job.placements)

@@ -1,25 +1,24 @@
-"""Job records for the online daemon, and per-job task namespacing.
+"""Job records for the online daemon.
 
-Every submitted job carries its own :class:`~repro.graph.TaskGraph` whose
-task names are prefixed ``"<job id>/"``: the job's placements carry those
-names, so many instances of the same application template can be told
-apart on one machine (and audited per job against their own graph).
+A job is a ``(template graph, prefix, widths)`` triple. The template is
+the application's shared, un-namespaced :class:`~repro.graph.TaskGraph`;
+every job of one template splices from that one graph object, so its
+graph analysis and pop order are made once per template. The job's
+placements carry the names ``"<job id>/<task>"`` (the *prefix* is the job
+id and a ``'/'``), which tells many instances of one template apart on
+the machine; the daemon's audit strips the prefix and checks each job
+against its template.
 
-The *un*-namespaced template graph is kept alongside, and is what the
-daemon allocates and splices. Allocation is decided once per template
-object (or, when the daemon is given a
-:class:`~repro.cache.service.CachedScheduleService`, served by the
-content-addressed schedule cache) instead of a cold allocation walk per
-arrival. The splice then runs on the shared template under those widths
-and prefixes the placement names: the chart's splice spans are unowned,
-so it never keys by a task name, and the cost cache's graph memo and the
-placer's pop order are built once per template. A job with a preset
-allocation (a rigid SWF job is its own template) is spliced from its own
-graph, whose state the daemon releases when the job finishes.
+``widths`` maps template task names to processor widths. A rigid SWF job
+arrives with them (it is its own one-task template); otherwise the
+daemon's allocator decides them once per template (or, when the daemon
+is given a :class:`~repro.cache.service.CachedScheduleService`, the
+content-addressed schedule cache serves them).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -27,61 +26,44 @@ from repro.exceptions import ScheduleError
 from repro.graph import TaskGraph
 from repro.schedule import PlacedTask
 
-__all__ = ["Job", "namespace_graph"]
-
-
-def namespace_graph(template: TaskGraph, job_id: str) -> TaskGraph:
-    """A copy of *template* with every task renamed ``"<job_id>/<task>"``."""
-    if "/" in job_id:
-        raise ScheduleError(f"job id {job_id!r} must not contain '/'")
-    out = TaskGraph(f"{job_id}/{template.name}")
-    for t in template.tasks():
-        task = template.task(t)
-        out.add_task(f"{job_id}/{t}", task.profile, **task.attrs)
-    for u, v in template.edges():
-        out.add_edge(f"{job_id}/{u}", f"{job_id}/{v}", template.data_volume(u, v))
-    return out
+__all__ = ["Job"]
 
 
 @dataclass
 class Job:
     """One job moving through the daemon: submitted → placed → finished.
 
-    ``allocation`` maps *namespaced* task names to processor widths. It
-    may be preset (rigid SWF jobs arrive with their width) or left
-    ``None`` for the daemon's allocator to decide at submit time. In the
-    second case the daemon also records the template's widths in
-    ``template_widths`` and splices the job from ``template_graph``; a
-    preset job is spliced from ``graph``.
+    ``widths`` is keyed by template task name. It may be preset (rigid
+    SWF jobs arrive with their width) or left ``None`` for the daemon to
+    fill in at submit time. The job's id must not contain ``'/'`` (it
+    names the placements ``"<job id>/<task>"``) and its arrival must be
+    finite and non-negative; :class:`ScheduleError` otherwise.
     """
 
     job_id: str
     template: str
-    graph: TaskGraph  #: namespaced per-job graph (lives on the chart)
     template_graph: TaskGraph  #: shared un-namespaced graph (allocation key)
     arrival: float
-    allocation: Optional[Dict[str, int]] = None
+    widths: Optional[Dict[str, int]] = None
     #: runtime state, filled in by the daemon
     placements: List[PlacedTask] = field(default_factory=list)
     placed_at: Optional[float] = None  #: sim time the splice happened
     start: Optional[float] = None  #: earliest placed start
     finish: Optional[float] = None  #: latest placed finish
-    #: widths by template task name, when the daemon's per-template
-    #: allocation decided them (the job then splices its template)
-    template_widths: Optional[Dict[str, int]] = None
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
+        if "/" in self.job_id:
+            raise ScheduleError(f"job id {self.job_id!r} must not contain '/'")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
             raise ScheduleError(
-                f"job {self.job_id!r} has negative arrival {self.arrival}"
+                f"job {self.job_id!r} has arrival {self.arrival}, not a "
+                f"finite non-negative time"
             )
 
     @property
     def width(self) -> int:
         """Widest task width (admission's notion of the job's size)."""
-        if self.allocation:
-            return max(self.allocation.values())
-        return 1
+        return max((self.widths or {}).values(), default=1)
 
     def record_placements(self, placements: List[PlacedTask]) -> None:
         self.placements = placements

@@ -32,10 +32,9 @@ honest baseline the incremental arm is measured against:
 its per-event cost grows with history (it re-prices every historical
 hole scan), which is precisely what cold-starting LoCBS per event costs.
 
-Both arms report the probe-ladder counters
-(``probes_considered`` / ``probes_bound_pruned`` deltas) per placement,
-so CI can assert the incremental arm priced *strictly fewer* candidate
-holes than the cold rebuild.
+Both arms report the hole-ladder candidates they priced
+(``probes_considered``) per placement, so CI can assert the incremental
+arm priced *strictly fewer* candidate holes than the cold rebuild.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ class PlacementResult:
     placements: List[PlacedTask]
     latency_s: float  #: wall-clock seconds this placement took
     probes_considered: int  #: hole-ladder candidates priced for this call
-    probes_bound_pruned: int
-
-
-def _probe_snapshot(cache: CostCache) -> Tuple[int, int]:
-    s = cache.stats
-    return s["probes_considered"], s["probes_bound_pruned"]
 
 
 def _prefixed(placements: List[PlacedTask], prefix: str) -> List[PlacedTask]:
@@ -112,7 +105,7 @@ class IncrementalPlacer:
         The placements are named ``prefix + task``. The pop order is
         reused from the last call with the same graph and allocation.
         """
-        before = _probe_snapshot(self.cost_cache)
+        before = self.cost_cache.stats["probes_considered"]
         t0 = time.perf_counter()
         placements = splice_schedule(
             graph,
@@ -126,12 +119,10 @@ class IncrementalPlacer:
         )
         placements = _prefixed(placements, prefix)
         latency = time.perf_counter() - t0
-        after = _probe_snapshot(self.cost_cache)
         return PlacementResult(
             placements=placements,
             latency_s=latency,
-            probes_considered=after[0] - before[0],
-            probes_bound_pruned=after[1] - before[1],
+            probes_considered=self.cost_cache.stats["probes_considered"] - before,
         )
 
     def _plan(self, graph: TaskGraph, allocation: Mapping[str, int]) -> Plan:
@@ -156,8 +147,9 @@ class IncrementalPlacer:
     def release(self, graph: TaskGraph) -> None:
         """Drop a graph's cost-cache state and pop order (memory bound).
 
-        The daemon calls it for a job spliced from its own graph when the
-        job finishes; a template's state is kept for later jobs.
+        The daemon calls it when a template falls out of its window of
+        recently used templates. A later splice of that graph rebuilds
+        both exactly, so a release never changes a placement.
 
         The chart keeps the job's busy spans — history compaction would
         change the chart *content* and break the cold arm's bit-identity
@@ -216,11 +208,10 @@ class ColdRebuildPlacer:
             )
         placements = _prefixed(placements, prefix)
         latency = time.perf_counter() - t0
-        probes = _probe_snapshot(cache)  # fresh cache: totals == this call
         self.history.append(entry)
         return PlacementResult(
             placements=placements,
             latency_s=latency,
-            probes_considered=probes[0],
-            probes_bound_pruned=probes[1],
+            # a fresh cache: its total is this call's
+            probes_considered=cache.stats["probes_considered"],
         )

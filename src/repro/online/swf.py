@@ -18,12 +18,13 @@ and skips unusable records (non-positive run time or width, e.g. the
 ``-1`` markers for cancelled jobs).
 
 Each SWF job is **rigid**: it ran at one width ``w`` with runtime ``r``.
-:func:`jobs_from_swf` models it as a single-task graph whose profile is a
-two-point table ``{1: r*w, w: r}`` (work-conserving linear scaling down
-to one processor; the table's step-wise rule pins every width in
-``[w, P]`` to runtime ``r``), with the allocation preset to ``w`` — the
-daemon's allocator is bypassed and the trace replays at its recorded
-widths, clamped to the target machine.
+:func:`jobs_from_swf` models it as its own one-task template ``"work"``
+whose profile is a two-point table ``{1: r*w, w: r}`` (work-conserving
+linear scaling down to one processor; the table's step-wise rule pins
+every width in ``[w, P]`` to runtime ``r``), with its widths preset to
+``{"work": w}`` — the daemon's allocator is bypassed and the trace
+replays at its recorded widths, clamped to the target machine. The
+placement is named ``"swf<id>/work"``.
 
 :func:`synthetic_swf_text` renders a deterministic heavy-tailed trace in
 the same format, for replays and tests that need no archive file.
@@ -126,16 +127,14 @@ def jobs_from_swf(
             profile = ExecutionProfile.from_table({1: rec.run_time})
         job_id = f"swf{rec.job_id}"
         graph = TaskGraph(f"{job_id}/rigid")
-        task = f"{job_id}/work"
-        graph.add_task(task, profile)
+        graph.add_task("work", profile)
         jobs.append(
             Job(
                 job_id=job_id,
                 template="swf",
-                graph=graph,
                 template_graph=graph,
                 arrival=rec.submit,
-                allocation={task: width},
+                widths={"work": width},
             )
         )
     return jobs

@@ -24,7 +24,7 @@ for the paper's Fig 11 real-cluster execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.exceptions import SimulationError
@@ -41,6 +41,7 @@ __all__ = [
     "SimulatedTask",
     "SimulationReport",
     "ExecutionEngine",
+    "verify_exclusive",
     "verify_realized",
 ]
 
@@ -69,8 +70,14 @@ def verify_realized(
                 f"{done[v].exec_start:g} before {u!r} finished at "
                 f"{done[u].finish:g}"
             )
+    verify_exclusive(done.values(), tol=tol)
+
+
+def verify_exclusive(tasks: Iterable, *, tol: float = 1e-6) -> None:
+    """Raise if two of *tasks* overlap on a processor beyond *tol*
+    (duck-typed like :func:`verify_realized`)."""
     by_proc: Dict[int, List[Tuple[float, float, str]]] = {}
-    for sim in done.values():
+    for sim in tasks:
         for p in sim.processors:
             by_proc.setdefault(p, []).append((sim.start, sim.finish, sim.name))
     for p, windows in by_proc.items():

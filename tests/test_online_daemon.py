@@ -10,19 +10,24 @@ The load-bearing claims under test:
   bit-identical placements on every event, while the incremental arm
   prices strictly fewer probe-ladder candidates;
 * a job spliced from its shared template under its name prefix lands
-  exactly where a splice of its own namespaced copy would, and the
-  daemon keeps per-graph state for templates only;
+  exactly where a splice of its own namespaced copy (the test-local
+  :func:`namespace_graph` oracle) would;
+* the daemon keeps per-template state for a bounded window of recently
+  used templates, and evicting it changes no placement;
+* the end-of-run audit checks each job against its template under its
+  prefix, and catches tampered placements;
 * the whole run — event order and final chart — is independent of
   ``PYTHONHASHSEED`` (subprocess test, mirroring the ``deep_dag``
   regression in ``test_array_equivalence.py``).
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro import Cluster, TaskGraph, Tracer
-from repro.exceptions import ScheduleError, WorkloadError
+from repro.exceptions import ScheduleError, SimulationError, WorkloadError
 from repro.obs.dashboard import render_dashboard
 from repro.obs.registry import registry_from_events
 from repro.online import (
@@ -37,11 +42,11 @@ from repro.online import (
     OnlineSchedulerDaemon,
     default_templates,
     jobs_from_swf,
-    namespace_graph,
     parse_swf,
     poisson_zipf_stream,
     synthetic_swf_text,
 )
+from repro.online import daemon as daemon_mod
 from repro.online.daemon import latency_stats, percentile
 from repro.schedule import ProcessorTimeline
 from repro.schedulers.context import SchedulingContext
@@ -63,13 +68,22 @@ def small_template() -> TaskGraph:
     return g
 
 
+def namespace_graph(template: TaskGraph, job_id: str) -> TaskGraph:
+    """Oracle: a copy of *template* with every task renamed
+    ``"<job_id>/<task>"``, the per-job graph a prefixed splice of the
+    shared template must be equivalent to."""
+    out = TaskGraph(f"{job_id}/{template.name}")
+    for t in template.tasks():
+        task = template.task(t)
+        out.add_task(f"{job_id}/{t}", task.profile, **task.attrs)
+    for u, v in template.edges():
+        out.add_edge(f"{job_id}/{u}", f"{job_id}/{v}", template.data_volume(u, v))
+    return out
+
+
 def make_job(job_id: str, arrival: float, template: TaskGraph) -> Job:
     return Job(
-        job_id=job_id,
-        template="tmpl",
-        graph=namespace_graph(template, job_id),
-        template_graph=template,
-        arrival=arrival,
+        job_id=job_id, template="tmpl", template_graph=template, arrival=arrival
     )
 
 
@@ -112,17 +126,28 @@ class TestJobs:
         assert g.data_volume("j1/a", "j1/b") == tmpl.data_volume("a", "b")
 
     def test_slash_in_job_id_rejected(self):
-        with pytest.raises(ScheduleError):
-            namespace_graph(small_template(), "bad/id")
+        with pytest.raises(ScheduleError, match="must not contain '/'"):
+            make_job("bad/id", 0.0, small_template())
+
+    def test_slash_in_swf_job_id_rejected(self):
+        with pytest.raises(ScheduleError, match="must not contain '/'"):
+            jobs_from_swf(
+                "1/2 0 0 100 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1", Cluster(4)
+            )
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ScheduleError):
             make_job("j", -1.0, small_template())
 
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ScheduleError, match="not a finite non-negative"):
+            make_job("j", arrival, small_template())
+
     def test_width_is_widest_task(self):
         job = make_job("j", 0.0, small_template())
-        assert job.width == 1  # allocation undecided
-        job.allocation = {"j/a": 2, "j/b": 4, "j/c": 1, "j/d": 2}
+        assert job.width == 1  # widths undecided
+        job.widths = {"a": 2, "b": 4, "c": 1, "d": 2}
         assert job.width == 4
 
 
@@ -194,9 +219,9 @@ class TestSwf:
 
     def test_jobs_clamp_width_to_cluster(self):
         jobs = jobs_from_swf(self.TRACE, Cluster(4, bandwidth=1e8))
-        assert jobs[0].allocation == {"swf1/work": 4}  # 8 clamped to 4
+        assert jobs[0].widths == {"work": 4}  # 8 clamped to 4
         # rigid: runtime at the recorded width equals the trace run time
-        prof = jobs[0].graph.task("swf1/work").profile
+        prof = jobs[0].template_graph.task("work").profile
         assert prof.time(4) == pytest.approx(100.0)
 
     def test_max_jobs_truncates(self):
@@ -484,7 +509,7 @@ class TestDaemon:
             jobs = [make_job(f"r{run}j{i}", i * 1.0, tmpl) for i in range(3)]
             for job in daemon.run(jobs).jobs:
                 assert sorted(p.name for p in job.placements) == sorted(
-                    job.graph.tasks()
+                    f"{job.job_id}/{t}" for t in job.template_graph.tasks()
                 )
 
         for run in range(30):
@@ -518,17 +543,14 @@ class TestObservability:
         jobs = [make_job(f"j{i}", i * 4.0, tmpl) for i in range(4)]
         # one rigid job too wide for the machine: exercises the reject path
         wide = TaskGraph("wide/rigid")
-        wide.add_task(
-            "wide/work", ExecutionProfile.from_table({1: 160.0, 16: 10.0})
-        )
+        wide.add_task("work", ExecutionProfile.from_table({1: 160.0, 16: 10.0}))
         jobs.append(
             Job(
                 job_id="wide",
                 template="rigid",
-                graph=wide,
                 template_graph=wide,
                 arrival=2.0,
-                allocation={"wide/work": 16},
+                widths={"work": 16},
             )
         )
         daemon.run(jobs)
@@ -624,8 +646,10 @@ class TestTemplateSplice:
             if ev.name != "job_placed":
                 continue
             job = by_id[ev.fields["job"]]
-            placed = own.place(job.graph, job.allocation, ev.fields["sim_time"])
-            own.release(job.graph)
+            graph = namespace_graph(job.template_graph, job.job_id)
+            alloc = {f"{job.job_id}/{t}": w for t, w in job.widths.items()}
+            placed = own.place(graph, alloc, ev.fields["sim_time"])
+            own.release(graph)
             assert _rows(placed.placements) == _rows(job.placements), job.job_id
         return own
 
@@ -652,7 +676,7 @@ class TestTemplateSplice:
         )
         report = daemon.run(jobs)
         assert report.placed == len(jobs)
-        assert all(job.template_widths is not None for job in jobs)
+        assert all(job.widths is not None for job in jobs)
         self._replay_namespaced(cluster, tracer, jobs)
         cache = daemon.incremental.cost_cache.snapshot()
         assert 0 < cache["graph_entries"] <= len(templates)
@@ -668,9 +692,13 @@ class TestTemplateSplice:
         )
         report = daemon.run(jobs)
         assert report.placed == len(jobs)
-        assert all(job.template_widths is None for job in jobs)
+        assert all(set(job.widths) == {"work"} for job in jobs)
         own = self._replay_namespaced(cluster, tracer, jobs)
-        assert daemon.incremental.cost_cache.snapshot()["graph_entries"] == 0
+        # each rigid job is its own template; the daemon keeps the last
+        # TEMPLATE_WINDOW of them (none is released at its finish)
+        kept = min(len(jobs), daemon_mod.TEMPLATE_WINDOW)
+        assert daemon.incremental.cost_cache.snapshot()["graph_entries"] == kept
+        assert len(daemon._alloc_memo) == kept
         assert own.cost_cache.snapshot()["graph_entries"] == 0
 
     def test_prefix_names_the_placements(self):
@@ -686,6 +714,166 @@ class TestTemplateSplice:
         # one graph analysis and one pop order serve every job
         assert shared.cost_cache.stats["graph_misses"] == 1
         assert own.cost_cache.stats["graph_misses"] == 3
+
+
+def _fresh_templates(n):
+    """*n* distinct template objects: chains of 2 to 4 tasks."""
+    out = []
+    for k in range(n):
+        g = TaskGraph(f"fresh{k}")
+        prof = ExecutionProfile(AmdahlSpeedup(0.1), 10.0 + k)
+        names = [f"t{i}" for i in range(2 + k % 3)]
+        for i, name in enumerate(names):
+            g.add_task(name, prof)
+            if i:
+                g.add_edge(names[i - 1], name, 1e6)
+        out.append(g)
+    return out
+
+
+class TestTemplateWindow:
+    """The daemon keeps per-template state (widths, pop order, cost-cache
+    graph entry) for at most ``TEMPLATE_WINDOW`` templates, evicts the
+    least recently used, and eviction changes no placement."""
+
+    @staticmethod
+    def _run(templates, order):
+        calls = []
+
+        def allocator(graph, cluster):
+            calls.append(graph)
+            return {t: 1 + i % 2 for i, t in enumerate(sorted(graph.tasks()))}
+
+        daemon = OnlineSchedulerDaemon(
+            Cluster(8, bandwidth=1e8), allocator=allocator, differential=True
+        )
+        jobs = [
+            make_job(f"j{i}", i * 3.0, templates[k]) for i, k in enumerate(order)
+        ]
+        report = daemon.run(jobs)
+        assert report.identical, report.mismatches
+        return daemon, [_rows(job.placements) for job in report.jobs], calls
+
+    def test_state_bounded_and_placements_unchanged(self, monkeypatch):
+        window = 2
+        templates = _fresh_templates(3 * window)
+        # every template once, then the first one (evicted by then) again
+        order = [*range(len(templates)), 0]
+        _, reference, reference_calls = self._run(templates, order)
+        assert len(reference_calls) == len(templates)
+        monkeypatch.setattr(daemon_mod, "TEMPLATE_WINDOW", window)
+        daemon, rows, calls = self._run(templates, order)
+        assert len(daemon._alloc_memo) <= window
+        assert len(daemon.incremental._plans) <= window
+        cache = daemon.incremental.cost_cache.snapshot()
+        assert cache["graph_entries"] <= window
+        assert rows == reference
+        # the returning template was evicted: its widths are decided again
+        assert calls == [*templates, templates[0]]
+
+    def test_least_recently_used_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "TEMPLATE_WINDOW", 2)
+        templates = _fresh_templates(3)
+        # template 0 is used again before template 2 arrives, so template 1
+        # is the one evicted, and template 0 is never decided twice
+        _, _, calls = self._run(templates, [0, 1, 0, 2, 0])
+        assert calls == templates
+
+    def test_deferred_job_state_stays_in_the_window(self, monkeypatch):
+        """A job deferred until after its template left the window puts
+        the template back in the window when it is committed, so the
+        placer state its splice builds is still evicted later."""
+        monkeypatch.setattr(daemon_mod, "TEMPLATE_WINDOW", 2)
+        cluster = Cluster(2, bandwidth=1e8)
+        # four rigid 100 s jobs (each its own template) on a full machine:
+        # all are submitted before the first one finishes
+        trace = "\n".join(
+            f"{i} {i} 0 100 2 -1 -1 2 -1 -1 1 1 1 1 1 1 -1 -1"
+            for i in range(1, 5)
+        )
+        daemon = OnlineSchedulerDaemon(
+            cluster, admission=AdmissionPolicy(max_backlog=50.0)
+        )
+        report = daemon.run(jobs_from_swf(trace, cluster))
+        assert report.deferred == 3 and report.placed == 4
+        assert len(daemon._alloc_memo) == 2
+        assert len(daemon.incremental._plans) == 2
+        assert daemon.incremental.cost_cache.snapshot()["graph_entries"] == 2
+
+
+class TestAudit:
+    """The end-of-run audit checks each job against its template under
+    its prefix, as strictly as an audit of a per-job graph would."""
+
+    TRACE = (
+        "1 0 0 50 8 -1 -1 8 -1 -1 1 1 1 1 1 1 -1 -1\n"
+        "2 1 0 50 8 -1 -1 8 -1 -1 1 1 1 1 1 1 -1 -1\n"
+    )
+
+    @classmethod
+    def _run(cls):
+        cluster = Cluster(8, bandwidth=1e8)
+        jobs = [make_job(f"j{i}", i * 2.0, small_template()) for i in range(2)]
+        jobs += jobs_from_swf(cls.TRACE, cluster)
+        daemon = OnlineSchedulerDaemon(cluster, verify=True)
+        report = daemon.run(jobs)
+        assert report.placed == len(jobs)
+        return daemon, {job.job_id: job for job in report.jobs}
+
+    @staticmethod
+    def _late_consumer(jobs):
+        job = jobs["j1"]
+        by_name = {p.name: p for p in job.placements}
+        early = by_name["j1/b"].finish - 1.0  # before its producer ends
+        job.record_placements([
+            dataclasses.replace(p, start=min(p.start, early), exec_start=early)
+            if p.name == "j1/d" else p
+            for p in job.placements
+        ])
+
+    @staticmethod
+    def _dropped(jobs):
+        jobs["j1"].placements = jobs["j1"].placements[:-1]
+
+    @staticmethod
+    def _cross_job_overlap(jobs):
+        # the earlier rigid job moved onto the later one's window and
+        # processors: each job alone stays valid, together they collide
+        first, second = jobs["swf1"], jobs["swf2"]
+        (p,), (q,) = first.placements, second.placements
+        first.record_placements([
+            dataclasses.replace(
+                p, start=q.start, exec_start=q.exec_start, finish=q.finish,
+                processors=q.processors,
+            )
+        ])
+
+    @staticmethod
+    def _foreign_name(jobs):
+        job = jobs["j0"]
+        job.placements = [
+            dataclasses.replace(p, name="j1/" + p.name.split("/", 1)[1])
+            for p in job.placements
+        ]
+
+    def test_untampered_run_passes(self):
+        daemon, jobs = self._run()
+        daemon._audit(list(jobs.values()))
+
+    @pytest.mark.parametrize(
+        "tamper,match",
+        [
+            ("_late_consumer", "precedence violated"),
+            ("_dropped", "never executed"),
+            ("_cross_job_overlap", "oversubscribed"),
+            ("_foreign_name", "outside its prefix"),
+        ],
+    )
+    def test_tampered_placements_raise(self, tamper, match):
+        daemon, jobs = self._run()
+        getattr(self, tamper)(jobs)
+        with pytest.raises(SimulationError, match=match):
+            daemon._audit(list(jobs.values()))
 
 
 class TestHashSeedDeterminism:
